@@ -6,7 +6,11 @@ Two modes, combinable:
   --corpus FILE      every graph of a graph6 corpus (hull number, closure,
                      all-pairs interval agreement, enumeration census)
   --random N         N seeded random connected graphs on up to --max-n
-                     vertices (hull number and closure agreement)
+                     vertices (hull number, closure, all-pairs interval and
+                     extreme-vertex agreement)
+
+The closure of the solver's hull set is checked with the brute-force
+``bf_hull``, not with the production ``toll_hull``.
 
 Exits non-zero on any discrepancy.  Typical use:
 
@@ -22,15 +26,35 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from tollhull.convexity import toll_hull, toll_interval  # noqa: E402
+from tollhull.convexity import extreme_vertices, toll_interval  # noqa: E402
 from tollhull.enumeration import compare_with_bruteforce  # noqa: E402
 from tollhull.graph import Graph, parse_graph6_file  # noqa: E402
 from tollhull.oracles import (  # noqa: E402
     MAX_ENUM_N,
+    bf_extreme_vertices,
+    bf_hull,
     bf_hull_number,
     bf_toll_interval,
 )
 from tollhull.solver import solve  # noqa: E402
+
+
+def interval_mismatches(g: Graph) -> int:
+    bad = 0
+    for x, y in itertools.combinations(range(g.n), 2):
+        if toll_interval(g, x, y) != bf_toll_interval(g, x, y):
+            print(f"interval mismatch on {sorted(g.edges())} at ({x},{y})")
+            bad += 1
+    return bad
+
+
+def hull_mismatch(g: Graph) -> bool:
+    r = solve(g)
+    want = bf_hull_number(g)
+    if r.hull_number != want or bf_hull(g, r.hull_set) != frozenset(range(g.n)):
+        print(f"hull mismatch on {sorted(g.edges())}: {r.hull_number} vs {want}")
+        return True
+    return False
 
 
 def sweep_corpus(path: str) -> int:
@@ -39,16 +63,7 @@ def sweep_corpus(path: str) -> int:
     census = {"complete": 0, "incomplete": 0}
     started = time.perf_counter()
     for g in graphs:
-        full = frozenset(range(g.n))
-        for x, y in itertools.combinations(range(g.n), 2):
-            if toll_interval(g, x, y) != bf_toll_interval(g, x, y):
-                print(f"interval mismatch on {sorted(g.edges())} at ({x},{y})")
-                bad += 1
-        r = solve(g)
-        want = bf_hull_number(g)
-        if r.hull_number != want or toll_hull(g, r.hull_set) != full:
-            print(f"hull mismatch on {sorted(g.edges())}: {r.hull_number} vs {want}")
-            bad += 1
+        bad += interval_mismatches(g) + hull_mismatch(g)
         if g.n <= MAX_ENUM_N:
             report = compare_with_bruteforce(g)
             census["complete" if report.complete else "incomplete"] += 1
@@ -75,10 +90,9 @@ def sweep_random(count: int, max_n: int, seed: int) -> int:
         if not g.is_connected():
             continue
         checked += 1
-        r = solve(g)
-        want = bf_hull_number(g)
-        if r.hull_number != want or toll_hull(g, r.hull_set) != frozenset(range(n)):
-            print(f"hull mismatch on {sorted(g.edges())}: {r.hull_number} vs {want}")
+        bad += interval_mismatches(g) + hull_mismatch(g)
+        if n <= MAX_ENUM_N and extreme_vertices(g) != bf_extreme_vertices(g):
+            print(f"extreme mismatch on {sorted(g.edges())}")
             bad += 1
     elapsed = time.perf_counter() - started
     print(f"random: {checked} graphs, {bad} discrepancies, {elapsed:.1f}s")

@@ -8,15 +8,21 @@ set yields its toll convex hull.
 
 Membership of v in [x,y] for non-adjacent x, y is decided without touching
 walks at all: v qualifies exactly when deleting N[x] - {v} leaves v and y
-connected and deleting N[y] - {v} leaves v and x connected.  All operators
-below run on that characterization, backed by a per-graph cache of the
-component structures of G - N[u].
+connected and deleting N[y] - {v} leaves v and x connected.  Put another
+way, v lies in, or has a neighbour in, the component of G - N[x] holding
+y, and likewise with x and y swapped.
+
+Every operator below runs on one ``IntervalKernel`` per graph.  It keeps
+vertex sets as int masks, bit v standing for vertex v, and builds the
+components of G - N[u] for a vertex u only when an interval first needs
+them, so a closure that reaches V after a few pairs touches a few
+vertices.  The kernel lives in a slot of the ``Graph`` it belongs to and
+is freed with it.  The public functions take and return frozensets.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from weakref import WeakKeyDictionary
+from itertools import combinations, compress
 
 from .graph import Graph, GraphError
 
@@ -39,53 +45,95 @@ class Block:
             assert not (g.adj[v] - self.vertices)
 
 
-class _Engine:
-    """Per-graph memo of the component labelings of G - N[u].
+class IntervalKernel:
+    """Toll intervals of one graph on int masks (bit v stands for vertex v).
 
-    Entries are computed on first use and never change, so concurrent
-    lookups are benign.
+    ``adj[v]`` is the mask of N(v) and ``full`` the mask of V.  The side of
+    u, built on first use, maps each vertex v outside N[u] to the re-entry
+    mask of the component C of G - N[u] holding v: C together with the
+    neighbours of u adjacent to C.  Vertices of N[u] map to 0.  Then for
+    non-adjacent x and y
+
+        [x,y] = {x, y} | side(x)[y] & side(y)[x].
+
+    Sides never change once built, so concurrent readers at worst build
+    the same side twice.
     """
 
-    __slots__ = ("g", "_comp")
+    __slots__ = ("adj", "full", "_sides")
 
     def __init__(self, g: Graph):
-        self.g = g
-        self._comp: dict[int, list[int]] = {}
+        self.adj = tuple(_mask_of(nb) for nb in g.adj)
+        self.full = (1 << g.n) - 1
+        self._sides: list[list[int] | None] = [None] * g.n
 
-    def comps_without_closed(self, u: int) -> list[int]:
-        """Component id per vertex in G - N[u]; -1 marks deleted vertices."""
-        got = self._comp.get(u)
-        if got is not None:
-            return got
-        g = self.g
-        lab = [-1] * g.n
-        closed = g.adj[u] | {u}
-        cid = 0
-        for root in range(g.n):
-            if root in closed or lab[root] >= 0:
-                continue
-            lab[root] = cid
-            stack = [root]
-            while stack:
-                w = stack.pop()
-                for z in g.adj[w]:
-                    if z not in closed and lab[z] < 0:
-                        lab[z] = cid
-                        stack.append(z)
-            cid += 1
-        self._comp[u] = lab
-        return lab
+    def side(self, u: int) -> list[int]:
+        got = self._sides[u]
+        if got is None:
+            got = self._sides[u] = self._build_side(u)
+        return got
+
+    def _build_side(self, u: int) -> list[int]:
+        adj = self.adj
+        side = [0] * len(adj)
+        rest = self.full & ~(adj[u] | 1 << u)
+        while rest:
+            comp = frontier = rest & -rest
+            # comp is a whole component of G - N[u], so its neighbours lie
+            # in comp and N(u)
+            touched = 0
+            while frontier:
+                rest ^= frontier
+                reach = 0
+                while frontier:
+                    low = frontier & -frontier
+                    reach |= adj[low.bit_length() - 1]
+                    frontier ^= low
+                touched |= reach
+                frontier = reach & rest
+                comp |= frontier
+            reentry = comp | touched
+            for v in _members(comp):
+                side[v] = reentry
+        return side
+
+    def interval(self, x: int, y: int) -> int:
+        """[x,y] as a mask; x and y must differ."""
+        ends = 1 << x | 1 << y
+        if self.adj[x] & 1 << y:
+            return ends
+        return ends | self.side(x)[y] & self.side(y)[x]
 
 
-_ENGINES: "WeakKeyDictionary[Graph, _Engine]" = WeakKeyDictionary()
+def interval_kernel(g: Graph) -> IntervalKernel:
+    """The kernel of g, kept on the graph so that it dies with it."""
+    k = g._kernel
+    if k is None:
+        k = g._kernel = IntervalKernel(g)
+    return k
 
 
-def _engine(g: Graph) -> _Engine:
-    eng = _ENGINES.get(g)
-    if eng is None:
-        eng = _Engine(g)
-        _ENGINES[g] = eng
-    return eng
+def _mask_of(vertices) -> int:
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
+def _checked_mask(g: Graph, vertices) -> int:
+    for v in vertices:
+        g._check_vertex(v)
+    return _mask_of(vertices)
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _members(mask: int) -> list[int]:
+    """The vertices of a mask, ascending.  Read off the binary digits, which
+    costs one pass in C instead of one big-int step per member."""
+    digits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+    return list(compress(range(len(digits)), digits))
 
 
 def _require_connected(g: Graph) -> None:
@@ -96,8 +144,7 @@ def _require_connected(g: Graph) -> None:
 def toll_interval(g: Graph, x: int, y: int) -> frozenset[int]:
     """All vertices on some tolled (x,y)-walk.
 
-    Adjacent endpoints admit only the edge walk, so the interval is {x,y};
-    otherwise each candidate v is tested by the two component conditions.
+    Adjacent endpoints admit only the edge walk, so the interval is {x,y}.
     """
     g._check_vertex(x)
     g._check_vertex(y)
@@ -106,31 +153,7 @@ def toll_interval(g: Graph, x: int, y: int) -> frozenset[int]:
     _require_connected(g)
     if y in g.adj[x]:
         return frozenset({x, y})
-    eng = _engine(g)
-    cx = eng.comps_without_closed(x)
-    cy = eng.comps_without_closed(y)
-    target_x = cx[y]  # y survives G - N[x] since xy is not an edge
-    target_y = cy[x]
-    out = {x, y}
-    adj = g.adj
-    for v in range(g.n):
-        if v == x or v == y:
-            continue
-        if cx[v] >= 0:
-            ok = cx[v] == target_x
-        else:
-            # v in N[x] gets re-added: it reaches y's side through a
-            # surviving neighbor
-            ok = any(cx[w] == target_x for w in adj[v] if cx[w] >= 0)
-        if not ok:
-            continue
-        if cy[v] >= 0:
-            ok = cy[v] == target_y
-        else:
-            ok = any(cy[w] == target_y for w in adj[v] if cy[w] >= 0)
-        if ok:
-            out.add(v)
-    return frozenset(out)
+    return frozenset(_members(interval_kernel(g).interval(x, y)))
 
 
 def interval_of_set(g: Graph, s) -> frozenset[int]:
@@ -141,36 +164,40 @@ def interval_of_set(g: Graph, s) -> frozenset[int]:
         raise GraphError("interval of the empty set is undefined")
     if len(s) == 1:
         return s
-    out = set(s)
+    _require_connected(g)
+    out = _checked_mask(g, s)
+    k = interval_kernel(g)
     for a, b in combinations(sorted(s), 2):
-        out |= toll_interval(g, a, b)
-    return frozenset(out)
+        out |= k.interval(a, b)
+    return frozenset(_members(out))
 
 
 def toll_hull(g: Graph, s) -> frozenset[int]:
     """Least t-convex superset of s: the fixpoint of the interval operator.
 
-    Each unordered pair is expanded once; the loop stabilizes after at most
-    n rounds because the working set only grows.
+    A worklist expands each pair of the growing set once, taking the new
+    vertex against every vertex already expanded, and stops as soon as the
+    set holds every vertex.
     """
     s = frozenset(s)
     if not s:
         raise GraphError("hull of the empty set is undefined")
     _require_connected(g)
+    cur = _checked_mask(g, s)
     if len(s) == 1:
         return s
-    cur = set(s)
-    done: set[tuple[int, int]] = set()
-    while True:
-        grew = set()
-        for a, b in combinations(sorted(cur), 2):
-            if (a, b) in done:
-                continue
-            done.add((a, b))
-            grew |= toll_interval(g, a, b)
-        if grew <= cur:
-            return frozenset(cur)
-        cur |= grew
+    k = interval_kernel(g)
+    queue = sorted(s)
+    done = []
+    for v in queue:
+        before = cur
+        for u in done:
+            cur |= k.interval(u, v)
+            if cur == k.full:
+                return frozenset(range(g.n))
+        queue.extend(_members(cur & ~before))
+        done.append(v)
+    return frozenset(queue)
 
 
 def is_t_convex(g: Graph, s) -> bool:
@@ -180,7 +207,11 @@ def is_t_convex(g: Graph, s) -> bool:
     s = frozenset(s)
     if len(s) <= 1 or len(s) == g.n:
         return True
-    return interval_of_set(g, s) == s
+    inside = _checked_mask(g, s)
+    k = interval_kernel(g)
+    return not any(
+        k.interval(a, b) & ~inside for a, b in combinations(sorted(s), 2)
+    )
 
 
 def is_t_concave(g: Graph, s) -> bool:
@@ -188,31 +219,39 @@ def is_t_concave(g: Graph, s) -> bool:
     return is_t_convex(g, frozenset(range(g.n)) - frozenset(s))
 
 
+def _simplicial_mask(k: IntervalKernel) -> int:
+    """Vertices whose neighbourhood is a clique.  Every other vertex v has
+    non-adjacent neighbours a and b, and the walk a v b puts v in [a,b]."""
+    adj = k.adj
+    return _mask_of(
+        v for v, nb in enumerate(adj)
+        if all(nb & ~adj[w] == 1 << w for w in _members(nb))
+    )
+
+
 def is_toll_extreme(g: Graph, v: int) -> bool:
     """{v} is t-concave: v lies in no toll interval of two other vertices."""
     g._check_vertex(v)
-    _require_connected(g)
-    for x, y in combinations(range(g.n), 2):
-        if v in (x, y) or y in g.adj[x]:
-            continue
-        if v in toll_interval(g, x, y):
-            return False
-    return True
+    return v in extreme_vertices(g)
 
 
 def extreme_vertices(g: Graph) -> frozenset[int]:
     """All toll extreme vertices.
 
-    Collected as the complement of the union of interval interiors, so the
-    interval of each non-adjacent pair is computed exactly once.
+    Collected as the complement of the union of interval interiors over the
+    non-adjacent pairs, starting from the non-simplicial vertices and
+    stopping once every vertex is hit.
     """
     _require_connected(g)
-    hit: set[int] = set()
-    for x, y in combinations(range(g.n), 2):
-        if y in g.adj[x]:
-            continue
-        hit |= toll_interval(g, x, y) - {x, y}
-    return frozenset(range(g.n)) - hit
+    k = interval_kernel(g)
+    hit = k.full & ~_simplicial_mask(k)
+    for x in range(g.n):
+        if hit == k.full:
+            break
+        sx = k.side(x)
+        for y in _members(k.full & ~k.adj[x] & -(2 << x)):
+            hit |= sx[y] & k.side(y)[x]
+    return frozenset(_members(k.full & ~hit))
 
 
 def block_border(g: Graph, f) -> frozenset[int]:
@@ -227,15 +266,17 @@ def make_block(g: Graph, f) -> Block:
 
 
 def fast_concavity_test(g: Graph, b: Block) -> bool:
-    """Concavity of a block interior in O(n^3), for blocks whose border is
-    a clique and whose interior induces a connected graph.
+    """Concavity of a block interior, for blocks whose border is a clique
+    and whose interior induces a connected graph.
 
     Under those preconditions any tolled walk entering the interior has
     both endpoints outside the block and sweeps the whole interior, so a
-    single interior vertex decides for all: the interior fails to be
-    t-concave exactly when some non-adjacent u, z outside the block satisfy
-    v in T_u(z) and v in T_z(u), where T_u is the family of components of
-    G - N[u].
+    single interior vertex v0 decides for all: the interior fails to be
+    t-concave exactly when v0 lies in the interval of some non-adjacent
+    u, z outside the block.  That is one mask test per such pair, so at
+    most O(n^2) mask tests, plus O(n) mask operations to build the kernel
+    side of each outside vertex not built before; the scan stops at the
+    first pair that holds v0.
     """
     _require_connected(g)
     if not b.interior:
@@ -245,17 +286,16 @@ def fast_concavity_test(g: Graph, b: Block) -> bool:
     sub, _ = g.subgraph(b.interior)
     if not sub.is_connected():
         raise GraphError("fast concavity test needs a connected interior")
-    outside = [u for u in range(g.n) if u not in b.vertices]
-    if len(outside) < 2:
-        return True
-    eng = _engine(g)
+    k = interval_kernel(g)
+    outside = k.full & ~_mask_of(b.vertices)
     v0 = min(b.interior)
-    comp = {u: eng.comps_without_closed(u) for u in outside}
-    for u, z in combinations(outside, 2):
-        if z in g.adj[u]:
-            continue
-        cu = comp[u]
-        cz = comp[z]
-        if cu[v0] >= 0 and cu[v0] == cu[z] and cz[v0] >= 0 and cz[v0] == cz[u]:
-            return False
+    # v0 has no neighbour outside the block, so for outside u the side of u
+    # maps v0 to the component of G - N[u] holding it
+    for u in _members(outside):
+        later = k.side(u)[v0] & outside & ~k.adj[u] & -(2 << u)
+        while later:
+            low = later & -later
+            if k.side(low.bit_length() - 1)[v0] >> u & 1:
+                return False
+            later ^= low
     return True

@@ -2,7 +2,9 @@
 
 Vertices are dense 0-based integers; external labels are kept only for
 I/O.  Graphs are frozen after construction, so every operation here is a
-pure read and safe to call concurrently.
+pure read and safe to call concurrently.  The one slot filled later,
+``_kernel``, holds the toll-interval kernel that ``convexity`` builds on
+first use; it is a cache of values derived from the frozen adjacency.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ class Graph:
     identifiers are exactly 0..n-1.
     """
 
-    __slots__ = ("n", "adj", "labels", "m", "_connected", "__weakref__")
+    __slots__ = ("n", "adj", "labels", "m", "_connected", "_kernel", "__weakref__")
 
     def __init__(
         self,
@@ -62,6 +64,7 @@ class Graph:
                 raise GraphError("label table size mismatch")
             self.labels = tuple(str(x) for x in labels)
         self._connected: bool | None = None
+        self._kernel = None
 
     # -- basic accessors ------------------------------------------------
 

@@ -28,8 +28,8 @@ from itertools import combinations
 from .atoms import AtomDecomposition, atoms
 from .convexity import (
     Block,
-    _engine,
     fast_concavity_test,
+    interval_kernel,
     make_block,
     toll_interval,
 )
@@ -212,27 +212,11 @@ def choice_5(g: Graph, ctx: ChoiceContext) -> tuple[frozenset[int], ...]:
     with a non-neighbor in the triggering border, such that the closed
     neighborhood of either vertex leaves the other connected to the
     partner's witness."""
-    eng = _engine(g)
-    circ_border = ctx.f_circ.border
+    witnessed = _witness_test(g, ctx)
     out = set()
     for member in ctx.members:
-        ints = sorted(member.interior)
-        for a, b in combinations(ints, 2):
-            if b in g.adj[a]:
-                continue
-            ca = eng.comps_without_closed(a)
-            cb = eng.comps_without_closed(b)
-            ok_a = any(
-                ca[w] >= 0 and ca[w] == ca[b]
-                for w in _nonneighbors_in(g, a, circ_border)
-            )
-            if not ok_a:
-                continue
-            ok_b = any(
-                cb[w] >= 0 and cb[w] == cb[a]
-                for w in _nonneighbors_in(g, b, circ_border)
-            )
-            if ok_b:
+        for a, b in combinations(sorted(member.interior), 2):
+            if witnessed(a, b):
                 out.add(frozenset({a, b}))
     return tuple(sorted(out, key=sorted))
 
@@ -240,29 +224,33 @@ def choice_5(g: Graph, ctx: ChoiceContext) -> tuple[frozenset[int], ...]:
 def choice_6(g: Graph, ctx: ChoiceContext) -> tuple[frozenset[int], ...]:
     """Like choice_5 but the two vertices come from the interiors of two
     different merged members."""
-    eng = _engine(g)
-    circ_border = ctx.f_circ.border
+    witnessed = _witness_test(g, ctx)
     out = set()
     for m1, m2 in combinations(ctx.members, 2):
         for a in sorted(m1.interior):
-            wa = _nonneighbors_in(g, a, circ_border)
-            if not wa:
-                continue
-            ca = eng.comps_without_closed(a)
             for b in sorted(m2.interior):
-                # the separation conditions need both endpoints to survive
-                # the closed-neighborhood deletions
-                if b in g.adj[a]:
-                    continue
-                wb = _nonneighbors_in(g, b, circ_border)
-                if not wb:
-                    continue
-                if not any(ca[w] >= 0 and ca[w] == ca[b] for w in wa):
-                    continue
-                cb = eng.comps_without_closed(b)
-                if any(cb[w] >= 0 and cb[w] == cb[a] for w in wb):
+                if witnessed(a, b):
                     out.add(frozenset({a, b}))
     return tuple(sorted(out, key=sorted))
+
+
+def _witness_test(g: Graph, ctx: ChoiceContext):
+    """``witnessed(a, b)``: a and b are non-adjacent, and each has a
+    non-neighbor in the triggering border lying in the other's component
+    of G - N[itself]."""
+    k = interval_kernel(g)
+    circ = sum(1 << v for v in ctx.f_circ.border)
+
+    def witnessed(a: int, b: int) -> bool:
+        # the side of a maps b to its component of G - N[a] plus neighbors
+        # of a; masking those neighbors off leaves the component
+        if k.adj[a] >> b & 1:
+            return False
+        return bool(
+            k.side(a)[b] & circ & ~k.adj[a] and k.side(b)[a] & circ & ~k.adj[b]
+        )
+
+    return witnessed
 
 
 def choice_7(
@@ -297,32 +285,22 @@ def _compose(menu_a, menu_b) -> tuple[frozenset[int], ...]:
     return tuple(sorted({a | b for a in menu_a for b in menu_b}, key=sorted))
 
 
-# -- concavity with per-run interval caching ---------------------------------
+# -- concavity ----------------------------------------------------------------
 
 
-class _ConcavityOracle:
-    def __init__(self, g: Graph):
-        self.g = g
-        self._pairs: dict[tuple[int, int], frozenset[int]] = {}
-
-    def interior_concave(self, b: Block) -> bool:
-        g = self.g
-        if not b.interior:
-            return True
-        if g.is_clique(b.border) and _induces_connected(g, b.interior):
-            return fast_concavity_test(g, b)
-        outside = sorted(frozenset(range(g.n)) - b.interior)
-        for a, c in combinations(outside, 2):
-            if c in g.adj[a]:
-                continue
-            key = (a, c)
-            iv = self._pairs.get(key)
-            if iv is None:
-                iv = toll_interval(g, a, c)
-                self._pairs[key] = iv
-            if iv & b.interior:
-                return False
+def _interior_concave(g: Graph, b: Block) -> bool:
+    """The interior of b is t-concave: the fast test when its border is a
+    clique and its interior connected, otherwise a scan of the intervals of
+    the non-adjacent pairs outside it."""
+    if not b.interior:
         return True
+    if g.is_clique(b.border) and _induces_connected(g, b.interior):
+        return fast_concavity_test(g, b)
+    outside = sorted(frozenset(range(g.n)) - b.interior)
+    for a, c in combinations(outside, 2):
+        if c not in g.adj[a] and toll_interval(g, a, c) & b.interior:
+            return False
+    return True
 
 
 def _induces_connected(g: Graph, s: frozenset[int]) -> bool:
@@ -407,13 +385,12 @@ def solve(g: Graph, collect_trace: bool = True) -> HullResult:
 
 
 def _solve_reducible(g: Graph, dec: AtomDecomposition, trace) -> HullResult:
-    conc = _ConcavityOracle(g)
     f_members: list[_Member] = []
     m_members: list[Block] = []
     for atom, flag in zip(dec.atoms, dec.extremal_flags):
         block = make_block(g, atom)
         if flag:
-            concave = conc.interior_concave(block)
+            concave = _interior_concave(g, block)
             ctype = classify_type(g, block) if concave else None
             f_members.append(
                 _Member(vertices=atom, block=block, concave=concave, ctype=ctype)
@@ -480,7 +457,7 @@ def _solve_reducible(g: Graph, dec: AtomDecomposition, trace) -> HullResult:
         m_members = [m for m in m_members if m not in m_prime]
         f_members = [f for f in f_members if f not in f_prime]
         new_block = make_block(g, new_vertices)
-        concave = conc.interior_concave(new_block)
+        concave = _interior_concave(g, new_block)
         new_member = _Member(
             vertices=new_vertices,
             block=new_block,

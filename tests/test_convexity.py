@@ -1,8 +1,10 @@
+import gc
 import random
+import weakref
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from conftest import connected_graphs, vid, vids
 from tollhull.atoms import block_of
@@ -18,8 +20,9 @@ from tollhull.convexity import (
     toll_hull,
     toll_interval,
 )
-from tollhull.graph import Graph, GraphError, c5, g12, k4, star3, theta7
-from tollhull.oracles import bf_toll_interval
+from tollhull.graph import Graph, GraphError, c5, g12, generate, k4, star3, theta7
+from tollhull.oracles import bf_extreme_vertices, bf_hull, bf_is_extreme, bf_toll_interval
+from tollhull.solver import solve
 
 
 def test_interval_fig_long_pair():
@@ -126,6 +129,37 @@ def test_fast_concavity_preconditions():
 def test_interval_matches_bruteforce(g):
     for x, y in combinations(range(g.n), 2):
         assert toll_interval(g, x, y) == bf_toll_interval(g, x, y)
+
+
+@given(connected_graphs(max_n=7), st.data())
+@settings(max_examples=80)
+def test_hull_matches_bruteforce(g, data):
+    s = data.draw(st.frozensets(st.integers(0, g.n - 1), min_size=1))
+    assert toll_hull(g, s) == bf_hull(g, s)
+
+
+@given(connected_graphs(max_n=7))
+@settings(max_examples=60)
+def test_extreme_vertices_match_bruteforce(g):
+    assert extreme_vertices(g) == bf_extreme_vertices(g)
+
+
+@given(connected_graphs(max_n=7))
+@settings(max_examples=60)
+def test_is_toll_extreme_matches_bruteforce(g):
+    for v in range(g.n):
+        assert is_toll_extreme(g, v) == bf_is_extreme(g, v)
+
+
+def test_interval_kernel_dies_with_its_graph():
+    g = generate("random-tree", 60, seed=3)
+    extreme_vertices(g)
+    toll_hull(g, solve(g).hull_set)
+    assert g._kernel is not None
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
 
 
 @given(connected_graphs(max_n=7))
