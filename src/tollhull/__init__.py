@@ -20,10 +20,8 @@ from .convexity import (
 )
 from .enumeration import (
     EnumerationReport,
-    SelectionMenu,
     compare_with_bruteforce,
     enumerate_min_hull_sets,
-    selection_menu,
 )
 from .graph import (
     Graph,
@@ -64,7 +62,6 @@ __all__ = [
     "GraphError",
     "HullResult",
     "ParseError",
-    "SelectionMenu",
     "SizeLimitError",
     "SolverInvariantError",
     "atoms",
@@ -90,7 +87,6 @@ __all__ = [
     "parse_graph",
     "parse_graph6",
     "parse_graph6_file",
-    "selection_menu",
     "solve",
     "to_edge_list",
     "to_graph6",

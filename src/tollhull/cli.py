@@ -140,7 +140,6 @@ def _cmd_hull(args) -> int:
             "type": b.ctype,
             "granularity": b.granularity,
             "chosen": _labels(g, b.chosen),
-            "options": [_labels(g, o) for o in b.options],
         }
         for b in result.family
     ]

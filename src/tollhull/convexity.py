@@ -104,6 +104,22 @@ class IntervalKernel:
             return ends
         return ends | self.side(x)[y] & self.side(y)[x]
 
+    def hull(self, mask: int) -> int:
+        """The toll hull of a non-empty mask.  A worklist expands each pair
+        of the growing set once, taking the new vertex against every vertex
+        already expanded, and stops as soon as the set is ``full``."""
+        queue = _members(mask)
+        done = []
+        for v in queue:
+            before = mask
+            for u in done:
+                mask |= self.interval(u, v)
+                if mask == self.full:
+                    return mask
+            queue.extend(_members(mask & ~before))
+            done.append(v)
+        return mask
+
 
 def interval_kernel(g: Graph) -> IntervalKernel:
     """The kernel of g, kept on the graph so that it dies with it."""
@@ -173,31 +189,15 @@ def interval_of_set(g: Graph, s) -> frozenset[int]:
 
 
 def toll_hull(g: Graph, s) -> frozenset[int]:
-    """Least t-convex superset of s: the fixpoint of the interval operator.
-
-    A worklist expands each pair of the growing set once, taking the new
-    vertex against every vertex already expanded, and stops as soon as the
-    set holds every vertex.
-    """
+    """Least t-convex superset of s: the fixpoint of the interval operator,
+    computed by ``IntervalKernel.hull``."""
     s = frozenset(s)
     if not s:
         raise GraphError("hull of the empty set is undefined")
     _require_connected(g)
-    cur = _checked_mask(g, s)
-    if len(s) == 1:
-        return s
     k = interval_kernel(g)
-    queue = sorted(s)
-    done = []
-    for v in queue:
-        before = cur
-        for u in done:
-            cur |= k.interval(u, v)
-            if cur == k.full:
-                return frozenset(range(g.n))
-        queue.extend(_members(cur & ~before))
-        done.append(v)
-    return frozenset(queue)
+    mask = k.hull(_checked_mask(g, s))
+    return frozenset(range(g.n)) if mask == k.full else frozenset(_members(mask))
 
 
 def is_t_convex(g: Graph, s) -> bool:

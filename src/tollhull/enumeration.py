@@ -1,62 +1,90 @@
 """Enumeration of minimum toll hull sets with polynomial delay.
 
-Every minimum hull set produced by the solver decomposes over the blocks of
-the characteristic family; the admissible selections per block are exactly
-the vertices (or pairs) passing the same selection rule the solver applied.
-Streaming the Cartesian product of the per-block menus therefore emits
-distinct candidate sets with polynomially bounded work between emissions.
+The solver leaves pairwise disjoint t-concave interiors whose granularities
+sum to the hull number.  By the paper's lemmas a hull set takes at least
+the granularity from each interior (no interval of outside vertices enters
+a t-concave set, a type-2 interior needs two vertices, a type-3 interior
+is made of extreme vertices), so a minimum hull set takes exactly that
+many from each interior and nothing from anywhere else.
 
-The product provably yields sets of minimum cardinality, but the sketch it
-follows guarantees neither that each combination is a hull set nor that all
-minimum hull sets appear.  Each candidate is therefore verified before
-emission (a failure is a hard error), and ``compare_with_bruteforce``
-reports completeness against the exhaustive oracle on small graphs.
+A block's options are the granularity-subsets of its interior that close
+to V in place of the block's pick in the solver's hull set S*; the stream
+is their product.  That this product holds every minimum hull set and
+nothing else is not proven here: ``scripts/oracle_sweep.py`` checks it
+against the exhaustive oracle, and every emitted set is verified (a
+failure is a hard error).  Prime graphs take every non-adjacent pair,
+complete graphs all of V.
+
+Options are checked when the product first reaches them and then kept, so
+between two emissions each block's subsets are scanned at most once.  Only
+type-3 blocks, which have one subset, exceed granularity 2, so that is
+O(n^2) hull checks per emission.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterator
 
-from .convexity import toll_hull
+from .convexity import interval_kernel, toll_hull
 from .graph import Graph, GraphError
 from .oracles import bf_all_min_hull_sets
-from .solver import HullResult, solve
+from .solver import CharacteristicBlock, HullResult, solve
 
 
 class EnumerationError(RuntimeError):
     """A combined selection failed verification; signals a solver bug."""
 
 
-@dataclass(frozen=True)
-class SelectionMenu:
-    """Admissible selections per characteristic block, aligned with
-    ``result.family``.  Prime graphs get a single pseudo-block menu."""
-
-    per_block: tuple[tuple[frozenset[int], ...], ...]
-
-    def combination_count(self) -> int:
-        out = 1
-        for options in self.per_block:
-            out *= len(options)
-        return out
-
-
-def selection_menu(g: Graph, result: HullResult) -> SelectionMenu:
-    """All admissible selections for each block of the family."""
+def _candidates(g: Graph, result: HullResult) -> Iterator[frozenset[int]]:
     if result.complete:
-        return SelectionMenu(per_block=((frozenset(range(g.n)),),))
-    if result.prime:
-        pairs = tuple(
-            frozenset({u, v})
-            for u, v in combinations(range(g.n), 2)
-            if v not in g.adj[u]
-        )
-        return SelectionMenu(per_block=(pairs,))
-    for block in result.family:
-        if not block.options or block.chosen and frozenset(block.chosen) not in block.options:
-            raise EnumerationError("family block carries an inconsistent menu")
-    return SelectionMenu(per_block=tuple(b.options for b in result.family))
+        yield frozenset(range(g.n))
+    elif result.prime:
+        for u, v in combinations(range(g.n), 2):
+            if v not in g.adj[u]:
+                yield frozenset({u, v})
+    else:
+        s_star = sum(1 << v for v in result.hull_set)
+        sources = [_options(g, s_star, b) for b in result.family]
+        for combo in _lazy_product(sources):
+            yield frozenset().union(*combo)
+
+
+def _options(g: Graph, s_star: int, b: CharacteristicBlock) -> Iterator[frozenset[int]]:
+    """The ``granularity``-subsets of b that close to V in place of b's
+    pick in S*, in lexicographic order."""
+    k = interval_kernel(g)
+    rest = s_star & ~sum(1 << v for v in b.chosen)
+    for option in combinations(sorted(b.vertices), b.granularity):
+        if k.hull(rest | sum(1 << v for v in option)) == k.full:
+            yield frozenset(option)
+
+
+def _lazy_product(sources: list[Iterator]) -> Iterator[tuple]:
+    """``itertools.product`` of the sources in the same order, drawing an
+    item from a source only when the product first reaches it."""
+    seen: list[list] = [[] for _ in sources]
+
+    def reach(i: int, j: int) -> bool:
+        while len(seen[i]) <= j:
+            nxt = next(sources[i], None)
+            if nxt is None:
+                return False
+            seen[i].append(nxt)
+        return True
+
+    index: list[int] = []
+    while True:
+        while len(index) < len(sources):
+            if not reach(len(index), 0):
+                return
+            index.append(0)
+        yield tuple(seen[i][j] for i, j in enumerate(index))
+        while index and not reach(len(index) - 1, index[-1] + 1):
+            index.pop()
+        if not index:
+            return
+        index[-1] += 1
 
 
 def enumerate_min_hull_sets(
@@ -65,7 +93,7 @@ def enumerate_min_hull_sets(
     """Stream distinct minimum toll hull sets.
 
     Emission order is the lexicographic product order of the per-block
-    menus.  Every candidate is checked to have the right cardinality and a
+    options.  Every candidate is checked to have the right cardinality and a
     full hull before being emitted.
     """
     if not g.is_connected():
@@ -73,11 +101,9 @@ def enumerate_min_hull_sets(
     if limit is not None and limit <= 0:
         return
     result = solve(g)
-    menu = selection_menu(g, result)
     emitted = 0
     V = frozenset(range(g.n))
-    for combo in product(*menu.per_block):
-        candidate = frozenset().union(*combo)
+    for candidate in _candidates(g, result):
         if len(candidate) != result.hull_number:
             raise EnumerationError(
                 f"combined selection {sorted(candidate)} has the wrong size"
@@ -90,6 +116,8 @@ def enumerate_min_hull_sets(
         emitted += 1
         if limit is not None and emitted >= limit:
             return
+    if not emitted:
+        raise EnumerationError("no block selection closes to V")
 
 
 @dataclass(frozen=True)
@@ -101,11 +129,6 @@ class EnumerationReport:
     reference: tuple[frozenset[int], ...]
     complete: bool
     missing: tuple[frozenset[int], ...]
-
-    @property
-    def valid(self) -> bool:
-        # emissions are verified inline; reaching a report means all valid
-        return True
 
 
 def compare_with_bruteforce(g: Graph) -> EnumerationReport:

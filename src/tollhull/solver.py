@@ -70,15 +70,15 @@ def classify_type(g: Graph, b: Block) -> int:
 class CharacteristicBlock:
     """A t-concave interior of the final family with its granularity.
 
-    ``options`` lists every admissible selection for this block; the solver
-    used ``chosen``, which is always one of them.
+    ``chosen`` holds the ``granularity`` vertices the solver took from the
+    interior.  Every minimum hull set takes exactly that many vertices from
+    it; ``enumeration`` lists the sets.
     """
 
     vertices: frozenset[int]
     ctype: int
     granularity: int
     chosen: tuple[int, ...]
-    options: tuple[frozenset[int], ...]
 
 
 @dataclass(frozen=True)
@@ -112,9 +112,7 @@ class _Member:
     block: Block
     concave: bool
     ctype: int | None
-    menu: tuple[frozenset[int], ...] | None = None
     chosen: frozenset[int] = frozenset()
-    label: str | None = None
 
     def key(self):
         return tuple(sorted(self.vertices))
@@ -281,10 +279,6 @@ def choice_8(
     return tuple(sorted(out, key=sorted))
 
 
-def _compose(menu_a, menu_b) -> tuple[frozenset[int], ...]:
-    return tuple(sorted({a | b for a in menu_a for b in menu_b}, key=sorted))
-
-
 # -- concavity ----------------------------------------------------------------
 
 
@@ -348,7 +342,6 @@ def solve(g: Graph, collect_trace: bool = True) -> HullResult:
             ctype=TYPE3,
             granularity=g.n,
             chosen=tuple(range(g.n)),
-            options=(V,),
         )
         if collect_trace:
             trace.append({"phase": "complete"})
@@ -417,24 +410,24 @@ def _solve_reducible(g: Graph, dec: AtomDecomposition, trace) -> HullResult:
             i=mem.ctype, k=0,
         )
         if mem.ctype == TYPE1:
-            menu, label = choice_1(g, ctx), "choice_1"
-            if not menu:
-                menu, label = choice_1(g, ctx, strong=False), "choice_1-weak"
+            picks, label = choice_1(g, ctx), "choice_1"
+            if not picks:
+                picks, label = choice_1(g, ctx, strong=False), "choice_1-weak"
         elif mem.ctype == TYPE2:
-            menu, label = choice_4(g, ctx), "choice_4"
+            picks, label = choice_4(g, ctx), "choice_4"
         else:
-            menu, label = (mem.block.interior,), "type3"
-        if not menu:
+            picks, label = (mem.block.interior,), "type3"
+        if not picks:
             raise SolverInvariantError(f"{label} found no candidate")
-        mem.menu, mem.chosen, mem.label = menu, menu[0], label
-        s |= menu[0]
+        mem.chosen = picks[0]
+        s |= picks[0]
         if trace is not None:
             trace.append({
                 "phase": "initial",
                 "member": sorted(mem.vertices),
                 "type": mem.ctype,
                 "choice": label,
-                "chosen": sorted(menu[0]),
+                "chosen": sorted(picks[0]),
             })
 
     iteration = 0
@@ -529,57 +522,52 @@ def _apply_merge_choice(g, target, f_prime, m_prime, new_member, s, entry):
     entry["k"] = k
 
     if i == TYPE1 and k == 0:
-        menu, label = choice_2(g, ctx), "choice_2"
-        if not menu:
-            menu, label = choice_3(g, ctx), "choice_3"
-        if not menu:
+        picks, label = choice_2(g, ctx), "choice_2"
+        if not picks:
+            picks, label = choice_3(g, ctx), "choice_3"
+        if not picks:
             # the structural clause can exclude every vertex with border
             # witnesses on all sides; those witnesses outrank the clause
-            menu, label = choice_1(g, ctx), "choice_1-fallback"
-        if not menu:
-            menu, label = choice_2(g, ctx, strong=False), "choice_2-weak"
-        if not menu:
-            menu, label = choice_3(g, ctx, strong=False), "choice_3-weak"
-        if not menu:
-            menu, label = choice_1(g, ctx, strong=False), "choice_1-weak"
-        if not menu:
+            picks, label = choice_1(g, ctx), "choice_1-fallback"
+        if not picks:
+            picks, label = choice_2(g, ctx, strong=False), "choice_2-weak"
+        if not picks:
+            picks, label = choice_3(g, ctx, strong=False), "choice_3-weak"
+        if not picks:
+            picks, label = choice_1(g, ctx, strong=False), "choice_1-weak"
+        if not picks:
             raise SolverInvariantError("choice_3 found no candidate")
-        new_member.menu, new_member.label = menu, label
-        new_member.chosen = menu[0]
-        s |= menu[0]
-        entry["choice"], entry["chosen"] = label, sorted(menu[0])
+        new_member.chosen = picks[0]
+        s |= picks[0]
+        entry["choice"], entry["chosen"] = label, sorted(picks[0])
     elif i == TYPE1 and k == 1:
         # the merge may have swallowed the border vertex that justified the
-        # earlier pick; re-validate the carried options against the merged
-        # block and repair the selection if it went stale
+        # earlier pick; keep it only if choice_1 still returns it on the
+        # merged block
         f1 = k_members[0]
-        fresh = choice_1(g, ctx)
-        menu = tuple(o for o in (f1.menu or ()) if o in fresh) or fresh
-        label = "carried"
-        if not menu:
-            menu, label = choice_1(g, ctx, strong=False), "carried-weak"
-        if not menu:
+        picks, label = choice_1(g, ctx), "carried"
+        if not picks:
+            picks, label = choice_1(g, ctx, strong=False), "carried-weak"
+        if not picks:
             raise SolverInvariantError("type-1 merge lost every qualifying vertex")
-        if f1.chosen in menu:
+        if f1.chosen in picks:
             new_member.chosen = f1.chosen
         else:
             label = "reselected"
             s -= f1.chosen
-            s |= menu[0]
-            new_member.chosen = menu[0]
-        new_member.menu, new_member.label = menu, label
+            s |= picks[0]
+            new_member.chosen = picks[0]
         entry["choice"] = label
         entry["chosen"] = sorted(new_member.chosen)
     elif i == TYPE2 and k == 0:
-        menu, label = choice_5(g, ctx), "choice_5"
-        if not menu:
-            menu, label = choice_6(g, ctx), "choice_6"
-        if not menu:
+        picks, label = choice_5(g, ctx), "choice_5"
+        if not picks:
+            picks, label = choice_6(g, ctx), "choice_6"
+        if not picks:
             raise SolverInvariantError("neither choice_5 nor choice_6 applies")
-        new_member.menu, new_member.label = menu, label
-        new_member.chosen = menu[0]
-        s |= menu[0]
-        entry["choice"], entry["chosen"] = label, sorted(menu[0])
+        new_member.chosen = picks[0]
+        s |= picks[0]
+        entry["choice"], entry["chosen"] = label, sorted(picks[0])
     elif i == TYPE2 and k == 1:
         f1 = k_members[0]
         singles, label = choice_7(g, ctx, f1.block), "choice_7"
@@ -588,25 +576,18 @@ def _apply_merge_choice(g, target, f_prime, m_prime, new_member, s, entry):
         if not singles:
             raise SolverInvariantError("choice_8 found no candidate")
         s |= singles[0]
-        new_member.menu = _compose(f1.menu, singles)
-        new_member.label = label
         new_member.chosen = f1.chosen | singles[0]
         entry["choice"], entry["chosen"] = label, sorted(singles[0])
     elif i == TYPE2 and k == 2:
-        f1, f2 = sorted(k_members, key=_Member.key)
-        new_member.menu = _compose(f1.menu, f2.menu)
-        new_member.label = "carried"
-        new_member.chosen = f1.chosen | f2.chosen
+        new_member.chosen = k_members[0].chosen | k_members[1].chosen
         entry["choice"] = "carried"
     else:
         # no rule exists for a merged type-3 interior; it is believed
         # unreachable, but a silent miscount would be worse than a loud one
         warnings.warn("merged block produced a type-3 interior; taking all of it")
-        menu = (new_member.block.interior,)
-        new_member.menu, new_member.label = menu, "type3-defensive"
-        new_member.chosen = menu[0]
-        s |= menu[0]
-        entry["choice"], entry["chosen"] = "type3-defensive", sorted(menu[0])
+        new_member.chosen = new_member.block.interior
+        s |= new_member.chosen
+        entry["choice"], entry["chosen"] = "type3-defensive", sorted(new_member.chosen)
         entry["defensive"] = True
 
 
@@ -637,8 +618,6 @@ def _finish(g, f_members, m_members, s, trace) -> HullResult:
         got = s_frozen & interior
         if got != mem.chosen or len(got) != gran:
             raise SolverInvariantError("granularity accounting failed")
-        if mem.menu is None or mem.chosen not in mem.menu:
-            raise SolverInvariantError("chosen vertices missing from the menu")
         covered |= got
         if mem.ctype == TYPE3:
             extreme |= interior
@@ -647,7 +626,6 @@ def _finish(g, f_members, m_members, s, trace) -> HullResult:
             ctype=mem.ctype,
             granularity=gran,
             chosen=tuple(sorted(got)),
-            options=mem.menu,
         ))
     if covered != s_frozen:
         raise SolverInvariantError("selected vertex outside every concave interior")

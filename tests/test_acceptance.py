@@ -256,7 +256,7 @@ def test_criterion_7_choice5_clause():
 
 
 def test_criterion_8_enumeration_census(small_corpus):
-    with criterion(8, "enumeration: every emission verified, census reported"):
+    with criterion(8, "enumeration: every emission verified, none missing"):
         complete = 0
         incomplete = []
         for g in small_corpus:
@@ -275,6 +275,7 @@ def test_criterion_8_enumeration_census(small_corpus):
                 f"emitted={len(report.emitted)} missing={len(report.missing)}"
             )
         assert complete + len(incomplete) == len(small_corpus)
+        assert not incomplete
 
 
 def test_criterion_9_scaling(tmp_path):

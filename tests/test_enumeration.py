@@ -5,7 +5,6 @@ from conftest import connected_graphs, vids
 from tollhull.enumeration import (
     compare_with_bruteforce,
     enumerate_min_hull_sets,
-    selection_menu,
 )
 from tollhull.graph import Graph, GraphError, c5, g12, generate, k4, star3, theta7
 from tollhull.oracles import bf_hull
@@ -15,12 +14,11 @@ from tollhull.solver import solve
 def test_fig_menu_and_stream():
     g = g12()
     r = solve(g)
-    menu = selection_menu(g, r)
-    by_block = {r.family[i].vertices: menu.per_block[i] for i in range(len(r.family))}
-    assert by_block[vids(g, "v10 v11 v12")] == (vids(g, "v11"),)
-    assert by_block[vids(g, "v1 v2 v3")] == (vids(g, "v1 v2 v3"),)
     sets = list(enumerate_min_hull_sets(g))
     assert sets == [vids(g, "v1 v2 v3 v11")]
+    projections = {b.vertices: {s & b.vertices for s in sets} for b in r.family}
+    assert projections[vids(g, "v10 v11 v12")] == {vids(g, "v11")}
+    assert projections[vids(g, "v1 v2 v3")] == {vids(g, "v1 v2 v3")}
     # independent uniqueness check: no other fourth vertex completes
     base = vids(g, "v1 v2 v3")
     for w in range(12):
@@ -50,16 +48,24 @@ def test_prime_graph_all_nonadjacent_pairs():
 
 
 def test_theta_menu_is_cartesian():
+    # the one family block is all of THETA7; besides the pairs across the
+    # two sides, the far pair {p, q} and four pairs with s or t close to V
     t = theta7()
     sets = set(enumerate_min_hull_sets(t))
     assert sets == {
         frozenset({a, b})
         for a in vids(t, "p r q")
         for b in vids(t, "z1 z2")
-    }
+    } | {vids(t, pair) for pair in ("p q", "s r", "s q", "t p", "t r")}
     rep = compare_with_bruteforce(t)
-    assert not rep.complete  # the product scheme misses e.g. the far pair
-    assert vids(t, "p q") in rep.missing
+    assert rep.complete and len(rep.emitted) == 11
+
+
+def test_random_tree_emits_every_minimum_set():
+    g = generate("random-tree", 9, seed=1)
+    sets = list(enumerate_min_hull_sets(g))
+    assert len(sets) == len(set(sets)) == 7
+    assert set(sets) == set(compare_with_bruteforce(g).reference)
 
 
 def test_limit_and_errors():

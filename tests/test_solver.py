@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from conftest import connected_graphs, random_trees, vid, vids
 from tollhull.atoms import block_of
 from tollhull.convexity import extreme_vertices, toll_hull
+from tollhull.enumeration import enumerate_min_hull_sets
 from tollhull.graph import (
     Graph,
     GraphError,
@@ -60,7 +61,7 @@ def test_solve_fig_graph():
     assert s1.ctype == TYPE3 and s1.granularity == 3
     s2 = fam[vids(g, "v10 v11 v12")]
     assert s2.ctype == TYPE1 and s2.granularity == 1
-    assert s2.options == (vids(g, "v11"),)
+    assert {s & s2.vertices for s in enumerate_min_hull_sets(g)} == {vids(g, "v11")}
     assert r.extreme_vertices == vids(g, "v1 v2 v3")
     assert not r.prime and not r.complete
     assert toll_hull(g, r.hull_set) == frozenset(range(12))
@@ -105,12 +106,13 @@ def test_solve_theta_trace():
     assert len(r.family) == 1
     block = r.family[0]
     assert block.ctype == TYPE2 and block.granularity == 2
-    # composed menu: one pick from the long side, one from the short side
-    assert set(block.options) == {
+    # the block is all of THETA7, so its projections are the emitted sets:
+    # one pick from each side, the far pair {p, q}, and four with s or t
+    assert {s & block.vertices for s in enumerate_min_hull_sets(t)} == {
         frozenset({a, b})
         for a in vids(t, "p r q")
         for b in vids(t, "z1 z2")
-    }
+    } | {vids(t, pair) for pair in ("p q", "s r", "s q", "t p", "t r")}
 
 
 def test_solve_rejects_bad_input():
