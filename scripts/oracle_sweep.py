@@ -4,14 +4,16 @@
 Two modes, combinable:
 
   --corpus FILE      every graph of a graph6 corpus (hull number, closure,
-                     all-pairs interval agreement, enumeration census)
+                     all-pairs interval and atom agreement, enumeration
+                     census)
   --random N         N seeded random connected graphs on up to --max-n
                      vertices (hull number, closure, all-pairs interval,
-                     extreme-vertex and enumeration agreement)
+                     extreme-vertex, atom and enumeration agreement)
 
 Enumeration is compared with ``bf_all_min_hull_sets`` on graphs with at
 most ``MAX_ENUM_N`` vertices; a minimum hull set the stream misses counts
-as a discrepancy.
+as a discrepancy.  Atoms are compared with ``bf_atoms`` on every corpus
+graph and on random graphs with at most ``MAX_ATOMS_N`` vertices.
 
 The closure of the solver's hull set is checked with the brute-force
 ``bf_hull``, not with the production ``toll_hull``.
@@ -30,17 +32,22 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from tollhull.atoms import atoms  # noqa: E402
 from tollhull.convexity import extreme_vertices, toll_interval  # noqa: E402
 from tollhull.enumeration import compare_with_bruteforce  # noqa: E402
 from tollhull.graph import Graph, parse_graph6_file  # noqa: E402
 from tollhull.oracles import (  # noqa: E402
     MAX_ENUM_N,
+    bf_atoms,
     bf_extreme_vertices,
     bf_hull,
     bf_hull_number,
     bf_toll_interval,
 )
 from tollhull.solver import solve  # noqa: E402
+
+# bf_atoms costs about 31 ms a graph at n=9
+MAX_ATOMS_N = 8
 
 
 def interval_mismatches(g: Graph) -> int:
@@ -61,6 +68,13 @@ def hull_mismatch(g: Graph) -> bool:
     return False
 
 
+def atoms_mismatch(g: Graph) -> bool:
+    if list(atoms(g).atoms) != bf_atoms(g):
+        print(f"atoms mismatch on {sorted(g.edges())}")
+        return True
+    return False
+
+
 def enumeration_incomplete(g: Graph) -> bool:
     report = compare_with_bruteforce(g)
     if not report.complete:
@@ -77,7 +91,7 @@ def sweep_corpus(path: str) -> int:
     census = {"complete": 0, "incomplete": 0}
     started = time.perf_counter()
     for g in graphs:
-        bad += interval_mismatches(g) + hull_mismatch(g)
+        bad += interval_mismatches(g) + hull_mismatch(g) + atoms_mismatch(g)
         if g.n <= MAX_ENUM_N:
             incomplete = enumeration_incomplete(g)
             census["incomplete" if incomplete else "complete"] += 1
@@ -106,6 +120,8 @@ def sweep_random(count: int, max_n: int, seed: int) -> int:
             continue
         checked += 1
         bad += interval_mismatches(g) + hull_mismatch(g)
+        if n <= MAX_ATOMS_N:
+            bad += atoms_mismatch(g)
         if n <= MAX_ENUM_N:
             if extreme_vertices(g) != bf_extreme_vertices(g):
                 print(f"extreme mismatch on {sorted(g.edges())}")

@@ -5,16 +5,33 @@ along clique minimal separators into a unique family of maximal prime
 induced subgraphs, the atoms of the decomposition.  Atoms cover every
 vertex and every edge, and two atoms meet in a clique.
 
-The decomposition below runs a lexicographic minimal-ordering search to
-build a minimal triangulation, then scans the elimination order: whenever
-the later-numbered fill neighborhood of a vertex is a clique of the
-original graph that still separates the not-yet-removed part, the
-component of the scanned vertex is cut off together with the separator.
+The decomposition is the clique-minimal-separator scan of Berry,
+Pogorelcnik & Simonet ("An introduction to clique minimal separator
+decomposition", Algorithms 3, 2010).  A minimal elimination ordering
+defines a minimal triangulation H of G, in which madj(x) is the set of
+later-numbered neighbours of x.  The scan visits the vertices in
+elimination order; whenever madj(x), cut down to the part not yet
+removed, is a clique of G and a minimal separator of that part, the
+component of x is cut off together with the separator.  The clique
+minimal separators of G are exactly the minimal separators of H that are
+cliques of G, whichever minimal triangulation H is, and the atoms they
+cut out are unique; so any minimal elimination ordering gives the same
+atoms.
+
+The ordering here is MCS-M (Berry, Blair, Heggernes & Peyton, "Maximum
+cardinality search for computing minimal triangulations of graphs",
+Algorithmica 39, 2004).  It numbers the vertices from n down to 1, each
+time taking an unnumbered vertex v of largest weight, and raises by one
+the weight of every unnumbered u that v reaches along a path whose inner
+vertices are unnumbered and lighter than u; each such u gains v in
+madj(u).  Vertex sets are int masks on the graph's ``IntervalKernel``,
+and the reach search floods the unnumbered vertices one weight level at a
+time, lightest first.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .convexity import Block, make_block
+from .convexity import Block, IntervalKernel, _members, interval_kernel, make_block
 from .graph import Graph, GraphError
 
 
@@ -30,70 +47,53 @@ class AtomDecomposition:
         return [a for a, f in zip(self.atoms, self.extremal_flags) if f]
 
 
-def _lex_m(g: Graph):
-    """Minimal elimination ordering and the fill neighborhoods it induces.
+def _mcs_m(k: IntervalKernel) -> tuple[list[int], list[int]]:
+    """Minimal elimination ordering and the fill neighbourhoods it induces.
 
     Returns (order, madj): order[i] is the vertex numbered i (elimination
-    runs from 1 to n), and madj[v] the higher-numbered neighbors of v in
-    the triangulated graph.
-
-    Labels are kept as dense ranks; at each step the reach search admits a
-    path to u when all interior vertices carry ranks strictly below u's.
+    runs from 1 to n), and madj[v] the mask of the higher-numbered
+    neighbours of v in the triangulated graph.
     """
-    n = g.n
-    adj = g.adj
-    rank = [0] * n
-    numbered = [False] * n
+    adj = k.adj
+    n = len(adj)
+    level = [0] * (n + 1)  # level[w]: the unnumbered vertices of weight w
+    level[0] = unnumbered = k.full
+    top = 0
     order = [0] * (n + 1)
-    madj: list[set[int]] = [set() for _ in range(n)]
-
+    madj = [0] * n
     for i in range(n, 0, -1):
-        v = -1
-        best = -1
-        for u in range(n):
-            if not numbered[u] and rank[u] > best:
-                best = rank[u]
-                v = u
-        numbered[v] = True
-        order[i] = v
+        while not level[top]:
+            top -= 1
+        low = level[top] & -level[top]
+        level[top] ^= low
+        unnumbered ^= low
+        v = order[i] = low.bit_length() - 1
 
-        reached = [False] * n
-        buckets: list[list[int]] = [[] for _ in range(n + 1)]
-        updated: list[int] = []
-        for w in adj[v]:
-            if not numbered[w]:
-                reached[w] = True
-                updated.append(w)
-                buckets[rank[w]].append(w)
-        for k in range(n + 1):
-            bucket = buckets[k]
-            while bucket:
-                w = bucket.pop()
-                for z in adj[w]:
-                    if numbered[z] or reached[z]:
-                        continue
-                    reached[z] = True
-                    if rank[z] > k:
-                        updated.append(z)
-                        buckets[rank[z]].append(z)
-                    else:
-                        bucket.append(z)
-        for z in updated:
-            madj[z].add(v)
-        # re-rank: an updated label sorts just above its old value
-        upd = set(updated)
-        pool = sorted(
-            (rank[u], 1 if u in upd else 0, u)
-            for u in range(n)
-            if not numbered[u]
-        )
-        new_rank = -1
-        prev = None
-        for r, flag, u in pool:
-            if (r, flag) != prev:
-                new_rank += 1
-                prev = (r, flag)
-            rank[u] = new_rank
+        # at weight w, the reached vertices of weight w are those next to v
+        # or to the flood of lighter vertices; the flood then spreads
+        # through every unnumbered vertex of weight at most w
+        seen = adj[v]
+        flooded = lighter = 0
+        reached = []
+        for w in range(top + 1):
+            lighter |= level[w]
+            hit = seen & level[w]
+            if hit:
+                reached.append((w, hit))
+                comp, touched = k.flood(lighter & ~flooded, hit)
+                flooded |= comp
+                seen |= touched
+            if not seen & unnumbered & ~lighter:
+                break
+        updated = 0
+        for w, hit in reversed(reached):
+            level[w] ^= hit
+            level[w + 1] |= hit
+            updated |= hit
+        for u in _members(updated):
+            madj[u] |= low
+        if level[top + 1]:
+            top += 1
     return order, madj
 
 
@@ -103,71 +103,71 @@ def atoms(g: Graph) -> AtomDecomposition:
         raise GraphError("decomposition of the empty graph is undefined")
     if not g.is_connected():
         raise GraphError("decomposition requires a connected graph")
-    order, madj = _lex_m(g)
-    alive = set(range(g.n))
-    found: list[frozenset[int]] = []
-    for i in range(1, g.n + 1):
-        x = order[i]
-        if x not in alive:
+    k = interval_kernel(g)
+    order, madj = _mcs_m(k)
+    alive = k.full
+    found: list[int] = []
+    for x in order[1:]:
+        if not alive >> x & 1:
             continue
-        sep = {w for w in madj[x] if w in alive}
-        if not sep or not g.is_clique(sep):
+        sep = madj[x] & alive
+        if not sep or not k.clique(sep):
             continue
-        if not _is_minimal_separator(g, alive, sep):
-            continue
-        comp = _component(g, alive - sep, x)
-        found.append(frozenset(comp | sep))
-        alive -= comp
-    found.append(frozenset(alive))
-    found.sort(key=sorted)
-    flags = _extremal_flags(found)
-    return AtomDecomposition(atoms=tuple(found), extremal_flags=flags)
+        comp = _cut(k, alive, sep, x)
+        if comp:
+            found.append(comp | sep)
+            alive ^= comp
+    found.append(alive)
+    ordered = sorted((_members(a), a) for a in found)
+    flags = _extremal_flags(g.n, ordered)
+    return AtomDecomposition(
+        atoms=tuple(frozenset(vs) for vs, _ in ordered), extremal_flags=flags
+    )
 
 
-def _is_minimal_separator(g: Graph, alive: set[int], sep: set[int]) -> bool:
-    """sep is a minimal separator of g[alive]: at least two components of
-    alive - sep see every separator vertex."""
-    remaining = alive - sep
-    seen: set[int] = set()
-    full = 0
-    for root in sorted(remaining):
-        if root in seen:
-            continue
-        comp = _component(g, remaining, root)
-        seen |= comp
-        if all(g.adj[s] & comp for s in sep):
-            full += 1
-            if full >= 2:
-                return True
-    return False
+def _cut(k: IntervalKernel, alive: int, sep: int, x: int) -> int:
+    """The component of x in alive - sep when sep is a minimal separator of
+    g[alive], that is, when at least two components of alive - sep see
+    every separator vertex; otherwise 0."""
+    rest = alive & ~sep
+    own, touched = k.flood(rest, 1 << x)
+    full = not sep & ~touched
+    rest ^= own
+    # a full component holds a neighbour of every separator vertex, so only
+    # the components next to one of them are grown; once one full
+    # component is known, the next flood stops as soon as it proves full
+    anchor = k.adj[(sep & -sep).bit_length() - 1]
+    while full < 2 and anchor & rest:
+        seed = anchor & rest
+        comp, touched = k.flood(rest, seed & -seed, sep if full else 0)
+        full += not sep & ~touched
+        rest ^= comp
+    return own if full >= 2 else 0
 
 
-def _component(g: Graph, inside: set[int], root: int) -> set[int]:
-    comp = {root}
-    stack = [root]
-    while stack:
-        w = stack.pop()
-        for z in g.adj[w]:
-            if z in inside and z not in comp:
-                comp.add(z)
-                stack.append(z)
-    return comp
-
-
-def _extremal_flags(found: list[frozenset[int]]) -> tuple[bool, ...]:
+def _extremal_flags(n: int, ordered: list[tuple[list[int], int]]) -> tuple[bool, ...]:
     """An atom F is extremal when a single other atom F' swallows the union
-    of F's intersections with everything else."""
-    if len(found) < 2:
-        return tuple(False for _ in found)
+    of F's intersections with everything else.
+
+    That union is the part of F lying in two or more atoms, and every atom
+    swallowing it holds its least vertex, so only the atoms through that
+    vertex are tried.  In a connected graph with two or more atoms each
+    atom meets another, so the union is never empty.
+    """
+    if len(ordered) < 2:
+        return tuple(False for _ in ordered)
+    once = twice = 0
+    through: list[list[int]] = [[] for _ in range(n)]
+    for vs, a in ordered:
+        twice |= once & a
+        once |= a
+        for v in vs:
+            through[v].append(a)
     flags = []
-    for idx, a in enumerate(found):
-        shared: set[int] = set()
-        for jdx, b in enumerate(found):
-            if jdx != idx:
-                shared |= a & b
-        flags.append(
-            any(shared <= b for jdx, b in enumerate(found) if jdx != idx)
-        )
+    for vs, a in ordered:
+        shared = a & twice
+        least = (shared & -shared).bit_length() - 1
+        flags.append(any(b != a and not shared & ~b for b in through[least]))
     return tuple(flags)
 
 

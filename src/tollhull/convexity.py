@@ -97,6 +97,37 @@ class IntervalKernel:
                 side[v] = reentry
         return side
 
+    def flood(
+        self, inside: int, frontier: int, until: int = 0
+    ) -> tuple[int, int]:
+        """Grow ``frontier``, a mask within ``inside``, to the union of its
+        components in G[inside].  Returns that union and the union of its
+        members' neighbourhoods.  A non-zero ``until`` stops the growth as
+        soon as those neighbourhoods cover it, leaving the union partial."""
+        adj = self.adj
+        comp = touched = 0
+        while frontier:
+            comp |= frontier
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            touched |= reach
+            if until and not until & ~touched:
+                break
+            frontier = reach & inside & ~comp
+        return comp, touched
+
+    def clique(self, mask: int) -> bool:
+        """Every two vertices of the mask are adjacent."""
+        adj = self.adj
+        return all(mask & ~adj[v] == 1 << v for v in _members(mask))
+
+    def connected(self, mask: int) -> bool:
+        """The non-empty mask induces a connected subgraph."""
+        return self.flood(mask, mask & -mask)[0] == mask
+
     def interval(self, x: int, y: int) -> int:
         """[x,y] as a mask; x and y must differ."""
         ends = 1 << x | 1 << y
@@ -146,8 +177,17 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _members(mask: int) -> list[int]:
-    """The vertices of a mask, ascending.  Read off the binary digits, which
-    costs one pass in C instead of one big-int step per member."""
+    """The vertices of a mask, ascending.  A mask that fits in a machine
+    word gives up its bits one at a time; a wider one is read off its
+    binary digits, which costs one pass in C instead of one big-int step
+    per member."""
+    if mask.bit_length() <= 64:
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
     digits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
     return list(compress(range(len(digits)), digits))
 
@@ -222,11 +262,7 @@ def is_t_concave(g: Graph, s) -> bool:
 def _simplicial_mask(k: IntervalKernel) -> int:
     """Vertices whose neighbourhood is a clique.  Every other vertex v has
     non-adjacent neighbours a and b, and the walk a v b puts v in [a,b]."""
-    adj = k.adj
-    return _mask_of(
-        v for v, nb in enumerate(adj)
-        if all(nb & ~adj[w] == 1 << w for w in _members(nb))
-    )
+    return _mask_of(v for v, nb in enumerate(k.adj) if k.clique(nb))
 
 
 def is_toll_extreme(g: Graph, v: int) -> bool:
@@ -277,16 +313,19 @@ def fast_concavity_test(g: Graph, b: Block) -> bool:
     most O(n^2) mask tests, plus O(n) mask operations to build the kernel
     side of each outside vertex not built before; the scan stops at the
     first pair that holds v0.
+
+    A block outside that scope raises ``GraphError``: the border is checked
+    with ``Graph.is_clique``, and the interior's connectivity with one mask
+    flood on the kernel (``IntervalKernel.connected``).
     """
     _require_connected(g)
     if not b.interior:
         raise GraphError("fast concavity test needs a non-empty interior")
     if not g.is_clique(b.border):
         raise GraphError("fast concavity test needs a clique border")
-    sub, _ = g.subgraph(b.interior)
-    if not sub.is_connected():
-        raise GraphError("fast concavity test needs a connected interior")
     k = interval_kernel(g)
+    if not k.connected(_mask_of(b.interior)):
+        raise GraphError("fast concavity test needs a connected interior")
     outside = k.full & ~_mask_of(b.vertices)
     v0 = min(b.interior)
     # v0 has no neighbour outside the block, so for outside u the side of u

@@ -23,11 +23,15 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import combinations
+from operator import attrgetter
 
 from .atoms import AtomDecomposition, atoms
 from .convexity import (
     Block,
+    _mask_of,
+    _members,
     fast_concavity_test,
     interval_kernel,
     make_block,
@@ -108,14 +112,63 @@ class ChoiceContext:
 
 @dataclass(eq=False)
 class _Member:
-    vertices: frozenset[int]
+    """A member of the working family: an atom, or the merge of several.
+
+    ``mask`` and ``border`` are the masks of its vertices and of its
+    border, ``key`` its sorted vertices, which order the family, and
+    ``seq`` its place in the order the members were made.
+    """
+
     block: Block
-    concave: bool
-    ctype: int | None
+    mask: int
+    border: int
+    key: tuple[int, ...]
+    seq: int
+    concave: bool = False
+    ctype: int | None = None
     chosen: frozenset[int] = frozenset()
 
-    def key(self):
-        return tuple(sorted(self.vertices))
+
+_by_key = attrgetter("key")
+
+
+def _member(g: Graph, vertices: frozenset[int], seq: int) -> _Member:
+    block = make_block(g, vertices)
+    return _Member(
+        block=block,
+        mask=_mask_of(block.vertices),
+        border=_mask_of(block.border),
+        key=tuple(sorted(block.vertices)),
+        seq=seq,
+    )
+
+
+class _Index:
+    """Members by vertex: ``at[v]`` holds the members containing v, and
+    ``members`` all of them, each in the order they were added."""
+
+    def __init__(self, n: int):
+        self.at: list[dict[_Member, None]] = [{} for _ in range(n)]
+        self.members: dict[_Member, None] = {}
+
+    def add(self, mem: _Member) -> None:
+        self.members[mem] = None
+        for v in mem.key:
+            self.at[v][mem] = None
+
+    def remove(self, mem: _Member) -> None:
+        del self.members[mem]
+        for v in mem.key:
+            del self.at[v][mem]
+
+    def containing(self, mask: int) -> list[_Member]:
+        """The members holding every vertex of a non-empty mask."""
+        least = (mask & -mask).bit_length() - 1
+        return [m for m in self.at[least] if not mask & ~m.mask]
+
+    def meeting(self, mask: int) -> list[_Member]:
+        """The members sharing a vertex with the mask."""
+        return list(dict.fromkeys(m for v in _members(mask) for m in self.at[v]))
 
 
 # -- selection rules ---------------------------------------------------------
@@ -282,13 +335,15 @@ def choice_8(
 # -- concavity ----------------------------------------------------------------
 
 
-def _interior_concave(g: Graph, b: Block) -> bool:
-    """The interior of b is t-concave: the fast test when its border is a
-    clique and its interior connected, otherwise a scan of the intervals of
-    the non-adjacent pairs outside it."""
+def _interior_concave(g: Graph, mem: _Member) -> bool:
+    """The interior of a member is t-concave: the fast test when its border
+    is a clique and its interior connected, otherwise a scan of the
+    intervals of the non-adjacent pairs outside it."""
+    b = mem.block
     if not b.interior:
         return True
-    if g.is_clique(b.border) and _induces_connected(g, b.interior):
+    k = interval_kernel(g)
+    if k.clique(mem.border) and k.connected(mem.mask & ~mem.border):
         return fast_concavity_test(g, b)
     outside = sorted(frozenset(range(g.n)) - b.interior)
     for a, c in combinations(outside, 2):
@@ -297,19 +352,9 @@ def _interior_concave(g: Graph, b: Block) -> bool:
     return True
 
 
-def _induces_connected(g: Graph, s: frozenset[int]) -> bool:
-    if not s:
-        return False
-    start = min(s)
-    seen = {start}
-    stack = [start]
-    while stack:
-        w = stack.pop()
-        for z in g.adj[w]:
-            if z in s and z not in seen:
-                seen.add(z)
-                stack.append(z)
-    return len(seen) == len(s)
+def _classify(g: Graph, mem: _Member) -> None:
+    mem.concave = _interior_concave(g, mem)
+    mem.ctype = classify_type(g, mem.block) if mem.concave else None
 
 
 # -- the solver ---------------------------------------------------------------
@@ -378,29 +423,27 @@ def solve(g: Graph, collect_trace: bool = True) -> HullResult:
 
 
 def _solve_reducible(g: Graph, dec: AtomDecomposition, trace) -> HullResult:
-    f_members: list[_Member] = []
-    m_members: list[Block] = []
-    for atom, flag in zip(dec.atoms, dec.extremal_flags):
-        block = make_block(g, atom)
+    k = interval_kernel(g)
+    f_index, m_index = _Index(g.n), _Index(g.n)
+    for seq, (atom, flag) in enumerate(zip(dec.atoms, dec.extremal_flags)):
+        mem = _member(g, atom, seq)
         if flag:
-            concave = _interior_concave(g, block)
-            ctype = classify_type(g, block) if concave else None
-            f_members.append(
-                _Member(vertices=atom, block=block, concave=concave, ctype=ctype)
-            )
+            _classify(g, mem)
+            f_index.add(mem)
         else:
-            m_members.append(block)
+            m_index.add(mem)
             # a non-extremal atom always disconnects the graph
-            if len(g.components(atom)) < 2:
+            rest = k.full & ~mem.mask
+            if not rest or k.connected(rest):
                 raise SolverInvariantError(
                     "non-extremal atom fails to disconnect the graph"
                 )
-    if len(f_members) < 2:
+    if len(f_index.members) < 2:
         raise SolverInvariantError("reducible graph with fewer than two extremal atoms")
 
     s: set[int] = set()
 
-    for mem in sorted(f_members, key=_Member.key):
+    for mem in sorted(f_index.members, key=_by_key):
         if not mem.block.interior:
             raise SolverInvariantError("extremal atom with empty interior")
         if not mem.concave:
@@ -424,76 +467,100 @@ def _solve_reducible(g: Graph, dec: AtomDecomposition, trace) -> HullResult:
         if trace is not None:
             trace.append({
                 "phase": "initial",
-                "member": sorted(mem.vertices),
+                "member": list(mem.key),
                 "type": mem.ctype,
                 "choice": label,
                 "chosen": sorted(picks[0]),
             })
 
+    # The merge targets are the non-concave members whose border lies in
+    # another member, their partner.  A partner merged away leaves its
+    # vertices in the merged member, so a target waits in the queue until
+    # it is merged itself; a member without a partner can gain one only
+    # from a new merged member.
+    queue: list = []
+    waiting: list[_Member] = []
+
+    def offer(f: _Member) -> None:
+        if m_index.containing(f.border) or any(
+            o is not f for o in f_index.containing(f.border)
+        ):
+            heappush(queue, (f.key, f.seq, f))
+        else:
+            waiting.append(f)
+
+    for f in f_index.members:
+        if not f.concave:
+            offer(f)
+
     iteration = 0
     budget = len(dec.atoms) + 1
     while True:
-        target = _pick_merge_target(f_members, m_members)
+        target = _pick_merge_target(queue, f_index)
         if target is None:
             break
         iteration += 1
         if iteration > budget:
             raise SolverInvariantError("merge loop exceeded its termination bound")
-        border = target.block.border
-        m_prime = [m for m in m_members if border <= m.vertices]
-        f_prime = [f for f in f_members if border <= f.vertices]
+        m_prime = m_index.containing(target.border)
+        f_prime = f_index.containing(target.border)
         if len(m_prime) + len(f_prime) < 2:
             raise SolverInvariantError("merge target lost its partner")
-        new_vertices = frozenset().union(
-            *[m.vertices for m in m_prime], *[f.vertices for f in f_prime]
+        new_mask = 0
+        for m in m_prime:
+            m_index.remove(m)
+            new_mask |= m.mask
+        for f in f_prime:
+            f_index.remove(f)
+            new_mask |= f.mask
+        new_member = _member(
+            g, frozenset(_members(new_mask)), len(dec.atoms) + iteration
         )
-        m_members = [m for m in m_members if m not in m_prime]
-        f_members = [f for f in f_members if f not in f_prime]
-        new_block = make_block(g, new_vertices)
-        concave = _interior_concave(g, new_block)
-        new_member = _Member(
-            vertices=new_vertices,
-            block=new_block,
-            concave=concave,
-            ctype=classify_type(g, new_block) if concave else None,
-            chosen=frozenset().union(*[f.chosen for f in f_prime]),
+        _classify(g, new_member)
+        new_member.chosen = frozenset().union(*[f.chosen for f in f_prime])
+        _check_family_invariants(
+            g, new_member, f_index.meeting(new_mask) + m_index.meeting(new_mask)
         )
-        f_members.append(new_member)
-        _check_family_invariants(g, new_member, f_members, m_members)
+        f_index.add(new_member)
+        held, waiting = waiting, []
+        for f in held:
+            if f not in f_index.members:
+                continue
+            if f.border & ~new_mask:
+                waiting.append(f)
+            else:
+                heappush(queue, (f.key, f.seq, f))
+        if not new_member.concave:
+            offer(new_member)
 
         entry = {
             "phase": "merge",
             "iteration": iteration,
-            "f_circ": sorted(target.vertices),
-            "f_prime": [sorted(f.vertices) for f in f_prime],
-            "m_prime": [sorted(m.vertices) for m in m_prime],
-            "f_bullet": sorted(new_vertices),
+            "f_circ": list(target.key),
+            "f_prime": [list(f.key) for f in f_prime],
+            "m_prime": [list(m.key) for m in m_prime],
+            "f_bullet": list(new_member.key),
             "type": new_member.ctype,
             "k": None,
             "choice": None,
             "chosen": [],
         }
-        if concave:
+        if new_member.concave:
             _apply_merge_choice(g, target, f_prime, m_prime, new_member, s, entry)
         if trace is not None:
             trace.append(entry)
 
-    return _finish(g, f_members, m_members, s, trace)
+    return _finish(g, list(f_index.members), list(m_index.members), s, trace)
 
 
-def _pick_merge_target(f_members, m_members) -> _Member | None:
-    candidates = []
-    for f in f_members:
-        if f.concave:
-            continue
-        border = f.block.border
-        if any(border <= m.vertices for m in m_members) or any(
-            o is not f and border <= o.vertices for o in f_members
-        ):
-            candidates.append(f)
-    if not candidates:
-        return None
-    return min(candidates, key=_Member.key)
+def _pick_merge_target(queue, f_index: _Index) -> _Member | None:
+    """The least member, by sorted vertices, of the merge targets still in
+    the family."""
+    while queue:
+        f = heappop(queue)[2]
+        if f in f_index.members:
+            return f
+    return None
 
 
 def _apply_merge_choice(g, target, f_prime, m_prime, new_member, s, entry):
@@ -506,12 +573,7 @@ def _apply_merge_choice(g, target, f_prime, m_prime, new_member, s, entry):
         raise SolverInvariantError("merged concave member of type other than 1")
     if i == TYPE1 and k > 1:
         raise SolverInvariantError("type-1 merge with two concave members")
-    member_blocks = tuple(
-        b for b in sorted(
-            [f.block for f in f_prime] + list(m_prime),
-            key=lambda b: tuple(sorted(b.vertices)),
-        )
-    )
+    member_blocks = tuple(m.block for m in sorted(f_prime + m_prime, key=_by_key))
     ctx = ChoiceContext(
         f_circ=target.block,
         f_bullet=new_member.block,
@@ -591,17 +653,19 @@ def _apply_merge_choice(g, target, f_prime, m_prime, new_member, s, entry):
         entry["defensive"] = True
 
 
-def _check_family_invariants(g, new_member, f_members, m_members):
+def _check_family_invariants(g, new_member, others):
     """The freshly merged member keeps the family laws: non-empty interior,
-    interiors disjoint from every other member, pairwise clique overlaps."""
+    interiors disjoint from every other member, pairwise clique overlaps.
+    ``others`` needs to hold only the members meeting it, since a disjoint
+    member keeps both laws."""
     if not new_member.block.interior:
         raise SolverInvariantError("merged member with empty interior")
-    others = [f.block for f in f_members if f is not new_member] + list(m_members)
-    nb = new_member.block
-    for ob in others:
-        if nb.interior & ob.interior:
+    k = interval_kernel(g)
+    interior = new_member.mask & ~new_member.border
+    for o in others:
+        if interior & o.mask & ~o.border:
             raise SolverInvariantError("member interiors overlap")
-        if not g.is_clique(nb.vertices & ob.vertices):
+        if not k.clique(new_member.mask & o.mask):
             raise SolverInvariantError("member overlap is not a clique")
 
 
@@ -610,7 +674,7 @@ def _finish(g, f_members, m_members, s, trace) -> HullResult:
     family = []
     covered: set[int] = set()
     extreme: set[int] = set()
-    for mem in sorted(f_members, key=_Member.key):
+    for mem in sorted(f_members, key=_by_key):
         if not mem.concave:
             continue
         interior = mem.block.interior
@@ -635,8 +699,8 @@ def _finish(g, f_members, m_members, s, trace) -> HullResult:
         hull_set=s_frozen,
         hull_number=len(s_frozen),
         family=tuple(family),
-        f_star=tuple(f.vertices for f in sorted(f_members, key=_Member.key)),
-        m_star=tuple(sorted((m.vertices for m in m_members), key=sorted)),
+        f_star=tuple(f.block.vertices for f in sorted(f_members, key=_by_key)),
+        m_star=tuple(m.block.vertices for m in sorted(m_members, key=_by_key)),
         extreme_vertices=frozenset(extreme),
         prime=False,
         complete=False,

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -67,6 +69,35 @@ def test_atoms_match_bruteforce(g):
     got = [set(a) for a in atoms(g).atoms]
     want = [set(a) for a in bf_atoms(g)]
     assert got == want
+
+
+def test_atoms_match_bruteforce_on_corpus(corpus):
+    for g in corpus:
+        assert list(atoms(g).atoms) == bf_atoms(g), g.edges()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_tree_atoms_are_its_edges(seed):
+    g = generate("random-tree", 150, seed=seed)
+    dec = atoms(g)
+    assert set(dec.atoms) == {frozenset(e) for e in g.edges()}
+    leaf_edges = {a for a in dec.atoms if any(len(g.adj[v]) == 1 for v in a)}
+    assert set(dec.extremal()) == leaf_edges
+
+
+def test_two_tree_atoms_are_its_triangles():
+    # each new vertex is joined to both ends of an existing edge, which
+    # makes exactly one new triangle
+    rng = random.Random(5)
+    edges = [(0, 1), (0, 2), (1, 2)]
+    triangles = {frozenset({0, 1, 2})}
+    for v in range(3, 150):
+        a, b = rng.choice(edges)
+        edges += [(a, v), (b, v)]
+        triangles.add(frozenset({a, b, v}))
+    dec = atoms(Graph(150, edges))
+    assert len(dec.atoms) == 148
+    assert set(dec.atoms) == triangles
 
 
 @given(connected_graphs(max_n=8))

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import connected_graphs, random_trees, vid, vids
-from tollhull.atoms import block_of
+from tollhull import solver
+from tollhull.atoms import AtomDecomposition, block_of
 from tollhull.convexity import extreme_vertices, toll_hull
 from tollhull.enumeration import enumerate_min_hull_sets
 from tollhull.graph import (
@@ -21,6 +22,7 @@ from tollhull.solver import (
     TYPE2,
     TYPE3,
     ChoiceContext,
+    SolverInvariantError,
     characteristic_family,
     choice_1,
     choice_4,
@@ -257,3 +259,30 @@ def test_mass_random_agreement():
         r = solve(g)
         assert r.hull_number == bf_hull_number(g), sorted(g.edges())
         assert toll_hull(g, r.hull_set) == frozenset(range(n))
+
+
+def test_family_invariants_reject_overlapping_interiors():
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    new = solver._member(g, frozenset({0, 1, 2}), 1)
+    other = solver._member(g, frozenset({0, 1}), 0)
+    with pytest.raises(SolverInvariantError, match="interiors overlap"):
+        solver._check_family_invariants(g, new, [other])
+
+
+def test_family_invariants_reject_non_clique_overlap():
+    g = generate("cycle", 6)
+    new = solver._member(g, frozenset({0, 1, 2, 3}), 1)
+    other = solver._member(g, frozenset({3, 4, 5, 0}), 0)
+    with pytest.raises(SolverInvariantError, match="not a clique"):
+        solver._check_family_invariants(g, new, [other])
+
+
+def test_non_extremal_atom_must_disconnect(monkeypatch):
+    # on the path 0-1-2-3 the end edge {0,1} leaves {2,3} connected
+    fake = AtomDecomposition(
+        atoms=(frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3})),
+        extremal_flags=(False, True, True),
+    )
+    monkeypatch.setattr(solver, "atoms", lambda g: fake)
+    with pytest.raises(SolverInvariantError, match="fails to disconnect"):
+        solve(Graph(4, [(0, 1), (1, 2), (2, 3)]))
