@@ -41,12 +41,8 @@ from .graph import (
 )
 from .solver import (
     CharacteristicBlock,
-    ChoiceContext,
     HullResult,
     SolverInvariantError,
-    characteristic_family,
-    classify_type,
-    extreme_vertices_via_family,
     solve,
 )
 
@@ -56,7 +52,6 @@ __all__ = [
     "AtomDecomposition",
     "Block",
     "CharacteristicBlock",
-    "ChoiceContext",
     "EnumerationReport",
     "Graph",
     "GraphError",
@@ -66,13 +61,10 @@ __all__ = [
     "SolverInvariantError",
     "atoms",
     "block_of",
-    "characteristic_family",
-    "classify_type",
     "compare_with_bruteforce",
     "enumerate_min_hull_sets",
     "extremal_atoms",
     "extreme_vertices",
-    "extreme_vertices_via_family",
     "fast_concavity_test",
     "fixture",
     "generate",

@@ -32,6 +32,7 @@ from .graph import (
     SizeLimitError,
     generate,
     parse_edge_list,
+    parse_graph,
     parse_graph6,
     to_edge_list,
 )
@@ -54,13 +55,7 @@ def _read_text(path: str) -> str:
 
 
 def _load_graph(path: str, fmt: str) -> Graph:
-    text = _read_text(path)
-    if fmt == "graph6":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ParseError("empty graph6 input")
-        return parse_graph6(lines[0])
-    return parse_edge_list(text)
+    return parse_graph(_read_text(path), fmt)
 
 
 def _digest(g: Graph) -> dict:
@@ -267,10 +262,24 @@ def _verify_one(g: Graph) -> dict:
     return report
 
 
+def _verify_jobs(text: str, fmt: str, name: str | None) -> list[tuple[str, Graph]]:
+    """(name, graph) for each non-blank graph6 line of the text, or for its
+    one edge list.  A file of a directory sweep passes its name, giving
+    ``<file>:<i>`` and ``<file>``; a single input passes None, giving
+    ``line:<i>`` and ``input``."""
+    if fmt == "graph6":
+        prefix = "line" if name is None else name
+        return [
+            (f"{prefix}:{i}", parse_graph6(ln))
+            for i, ln in enumerate(text.splitlines())
+            if ln.strip()
+        ]
+    return [("input" if name is None else name, parse_edge_list(text))]
+
+
 def _cmd_verify(args) -> int:
     path = Path(args.file) if args.file != "-" else None
     out = _Emitter("verify", None, args)
-    reports = []
     if path is not None and path.is_dir():
         files = sorted(
             p for p in path.iterdir() if p.suffix in (".txt", ".g6", ".el")
@@ -278,27 +287,10 @@ def _cmd_verify(args) -> int:
         jobs = []
         for p in files:
             fmt = "graph6" if p.suffix == ".g6" else "edge-list"
-            text = p.read_text()
-            if fmt == "graph6":
-                jobs.extend(
-                    (f"{p.name}:{i}", parse_graph6(ln))
-                    for i, ln in enumerate(text.splitlines())
-                    if ln.strip()
-                )
-            else:
-                jobs.append((p.name, parse_edge_list(text)))
-        reports = _run_verify_jobs(jobs, args.jobs)
+            jobs += _verify_jobs(p.read_text(), fmt, p.name)
     else:
-        text = _read_text(args.file)
-        if args.input_format == "graph6":
-            jobs = [
-                (f"line:{i}", parse_graph6(ln))
-                for i, ln in enumerate(text.splitlines())
-                if ln.strip()
-            ]
-        else:
-            jobs = [("input", parse_edge_list(text))]
-        reports = _run_verify_jobs(jobs, args.jobs)
+        jobs = _verify_jobs(_read_text(args.file), args.input_format, None)
+    reports = _run_verify_jobs(jobs, args.jobs)
     ok = all(r["agreement"] for _, r in reports)
     out.payload = {
         "graphs": len(reports),
@@ -323,13 +315,9 @@ def _run_verify_jobs(jobs, workers):
         import multiprocessing as mp
 
         with mp.Pool(workers) as pool:
-            results = pool.map(_verify_payload, [g for _, g in jobs])
+            results = pool.map(_verify_one, [g for _, g in jobs])
         return [(name, rep) for (name, _), rep in zip(jobs, results)]
     return [(name, _verify_one(g)) for name, g in jobs]
-
-
-def _verify_payload(g: Graph) -> dict:
-    return _verify_one(g)
 
 
 def _cmd_gen(args) -> int:

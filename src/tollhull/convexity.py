@@ -290,14 +290,9 @@ def extreme_vertices(g: Graph) -> frozenset[int]:
     return frozenset(_members(k.full & ~hit))
 
 
-def block_border(g: Graph, f) -> frozenset[int]:
-    f = frozenset(f)
-    return frozenset(v for v in f if g.adj[v] - f)
-
-
 def make_block(g: Graph, f) -> Block:
     f = frozenset(f)
-    border = block_border(g, f)
+    border = frozenset(v for v in f if g.adj[v] - f)
     return Block(vertices=f, border=border, interior=f - border)
 
 

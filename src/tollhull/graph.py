@@ -94,10 +94,6 @@ class Graph:
         """All edges as (u, v) with u < v, ascending."""
         return [(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v]
 
-    def label_of(self, v: int) -> str:
-        self._check_vertex(v)
-        return self.labels[v]
-
     def id_of(self, label: str) -> int:
         try:
             return self.labels.index(label)
@@ -139,25 +135,6 @@ class Graph:
             self._connected = self.n <= 1 or len(self.components()) == 1
         return self._connected
 
-    def same_component(self, removed: Iterable[int], u: int, v: int) -> bool:
-        """True when u and v are connected after deleting `removed`."""
-        cut = set(removed)
-        if u in cut or v in cut:
-            raise GraphError("endpoint inside the removed set")
-        if u == v:
-            return True
-        seen = {u} | cut
-        queue = deque([u])
-        while queue:
-            w = queue.popleft()
-            for z in self.adj[w]:
-                if z == v:
-                    return True
-                if z not in seen:
-                    seen.add(z)
-                    queue.append(z)
-        return False
-
     def separates(self, s: Iterable[int], u: int, v: int) -> bool:
         """True when a (u,v)-path exists in G but none survives deleting s."""
         s = set(s)
@@ -165,9 +142,11 @@ class Graph:
             raise GraphError("separation endpoints must lie outside the deleted set")
         self._check_vertex(u)
         self._check_vertex(v)
-        if not self.same_component((), u, v):
-            return False
-        return not self.same_component(s, u, v)
+
+        def together(comps: list[frozenset[int]]) -> bool:
+            return any(u in c and v in c for c in comps)
+
+        return together(self.components()) and not together(self.components(s))
 
     # -- local structure -------------------------------------------------
 

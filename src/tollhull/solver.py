@@ -15,6 +15,13 @@ the family stabilizes; each merge that produces a t-concave interior picks
 its vertices through one of eight selection rules, depending on the type
 and on how many merged members were already concave.
 
+Every vertex set in the solver is an int mask, bit v standing for vertex
+v, on the graph's ``IntervalKernel``.  Frozensets appear only in the
+``HullResult`` and at the two calls into public convexity operators,
+``fast_concavity_test`` and the pair scan's ``toll_interval``.  Each
+selection rule yields its picks, as masks, in a fixed order, and the
+solver takes the first pick of the first rule that yields one.
+
 The t-concave interiors left in the family at the end form a family of
 pairwise disjoint concave sets whose granularities add up to the hull
 number; the type-3 members are exactly the toll extreme vertices.
@@ -22,6 +29,7 @@ number; the type-3 members are exactly the toll extreme vertices.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import combinations
@@ -29,7 +37,6 @@ from operator import attrgetter
 
 from .atoms import AtomDecomposition, atoms
 from .convexity import (
-    Block,
     _mask_of,
     _members,
     fast_concavity_test,
@@ -50,20 +57,21 @@ class SolverInvariantError(RuntimeError):
 TYPE1, TYPE2, TYPE3 = 1, 2, 3
 
 
-def classify_type(g: Graph, b: Block) -> int:
-    """Type of a t-concave interior, driven by N(interior)."""
-    interior = b.interior
+def classify_type(g: Graph, interior: int) -> int:
+    """Type of a t-concave interior mask, driven by N(interior)."""
     if not interior:
         raise GraphError("cannot classify an empty interior")
-    nb: set[int] = set()
-    for v in interior:
-        nb |= g.adj[v]
-    nb -= interior
-    if any(not (nb <= g.adj[v]) for v in interior):
+    k = interval_kernel(g)
+    inside = _members(interior)
+    nb = 0
+    for v in inside:
+        nb |= k.adj[v]
+    nb &= ~interior
+    if any(nb & ~k.adj[v] for v in inside):
         return TYPE1
-    if not g.is_clique(interior):
+    if not k.clique(interior):
         return TYPE2
-    if g.is_clique(interior | nb):
+    if k.clique(interior | nb):
         return TYPE3
     raise SolverInvariantError(
         "interior joined to a non-clique neighborhood cannot be classified"
@@ -98,49 +106,48 @@ class HullResult:
     trace: tuple[dict, ...]
 
 
-@dataclass(frozen=True)
-class ChoiceContext:
-    """Merge-step bindings: the triggering member, the merged block, and the
-    blocks of everything folded into it."""
-
-    f_circ: Block
-    f_bullet: Block
-    members: tuple[Block, ...]
-    i: int | None
-    k: int
-
-
 @dataclass(eq=False)
 class _Member:
     """A member of the working family: an atom, or the merge of several.
 
     ``mask`` and ``border`` are the masks of its vertices and of its
-    border, ``key`` its sorted vertices, which order the family, and
-    ``seq`` its place in the order the members were made.
+    border (the vertices with a neighbor outside it), ``key`` its sorted
+    vertices, which order the family, ``seq`` its place in the order the
+    members were made, and ``chosen`` the mask of its picks.
     """
 
-    block: Block
     mask: int
     border: int
     key: tuple[int, ...]
     seq: int
     concave: bool = False
     ctype: int | None = None
-    chosen: frozenset[int] = frozenset()
+    chosen: int = 0
+
+    @property
+    def interior(self) -> int:
+        return self.mask & ~self.border
+
+
+@dataclass(frozen=True)
+class ChoiceContext:
+    """Merge-step bindings: the triggering member, the merged member, and
+    the members folded into it, ordered by their sorted vertices."""
+
+    f_circ: _Member
+    f_bullet: _Member
+    members: tuple[_Member, ...]
 
 
 _by_key = attrgetter("key")
 
 
-def _member(g: Graph, vertices: frozenset[int], seq: int) -> _Member:
-    block = make_block(g, vertices)
-    return _Member(
-        block=block,
-        mask=_mask_of(block.vertices),
-        border=_mask_of(block.border),
-        key=tuple(sorted(block.vertices)),
-        seq=seq,
-    )
+def _member(g: Graph, mask: int, seq: int) -> _Member:
+    adj = interval_kernel(g).adj
+    key = tuple(_members(mask))
+    outside = ~mask
+    border = _mask_of(v for v in key if adj[v] & outside)
+    return _Member(mask=mask, border=border, key=key, seq=seq)
 
 
 class _Index:
@@ -172,14 +179,13 @@ class _Index:
 
 
 # -- selection rules ---------------------------------------------------------
+#
+# Each rule yields its picks in ascending order: single vertices 1 << u by
+# u, pairs by their lesser vertex and then the greater.
 
 
-def _nonneighbors_in(g: Graph, u: int, s: frozenset[int]) -> frozenset[int]:
-    return (s - g.adj[u]) - {u}
-
-
-def _type1_candidates(g: Graph, b: Block, strong: bool) -> list[int]:
-    """Interior vertices missing a border neighbor.
+def _type1_candidates(g: Graph, b: _Member, strong: bool) -> Iterator[int]:
+    """Interior vertices missing a border neighbor, ascending.
 
     The strong form additionally demands, for every connected component H
     of the graph outside the block, a border vertex non-adjacent to the
@@ -187,149 +193,126 @@ def _type1_candidates(g: Graph, b: Block, strong: bool) -> list[int]:
     absorbable into a hull started from the candidate and any one vertex
     beyond the block, whichever side it lies on.
     """
-    weak = [u for u in sorted(b.interior) if _nonneighbors_in(g, u, b.border)]
-    if not strong:
-        return weak
-    anchor_sets = [
-        frozenset(v for v in b.border if g.adj[v] & comp)
-        for comp in g.components(removed=b.vertices)
-    ]
-    return [
-        u
-        for u in weak
-        if all((a - g.adj[u]) - {u} for a in anchor_sets)
-    ]
+    k = interval_kernel(g)
+    anchor_sets = []
+    if strong:
+        rest = k.full & ~b.mask
+        while rest:
+            comp, touched = k.flood(rest, rest & -rest)
+            anchor_sets.append(touched & b.border)
+            rest &= ~comp
+    for u in _members(b.interior):
+        if b.border & ~k.adj[u] and all(a & ~k.adj[u] for a in anchor_sets):
+            yield u
 
 
-def choice_1(
-    g: Graph, ctx: ChoiceContext, strong: bool = True
-) -> tuple[frozenset[int], ...]:
+def choice_1(g: Graph, ctx: ChoiceContext, strong: bool = True) -> Iterator[int]:
     """Type-1 pick: an interior vertex of the target block that misses a
     border neighbor on every side of the block."""
-    return tuple(
-        frozenset({u}) for u in _type1_candidates(g, ctx.f_bullet, strong)
-    )
-
-
-def choice_2(
-    g: Graph, ctx: ChoiceContext, strong: bool = True
-) -> tuple[frozenset[int], ...]:
-    """Choice-1 vertices that also miss a neighbor in the border of the
-    triggering member and sit in the interior of one merged member while a
-    different merged member contains the whole merged border."""
-    out = []
     for u in _type1_candidates(g, ctx.f_bullet, strong):
-        if not _nonneighbors_in(g, u, ctx.f_circ.border):
-            continue
-        if _has_split_pair(g, ctx, u, ctx.f_bullet.border):
-            out.append(frozenset({u}))
-    return tuple(out)
+        yield 1 << u
 
 
-def choice_3(
-    g: Graph, ctx: ChoiceContext, strong: bool = True
-) -> tuple[frozenset[int], ...]:
-    """Choice-2 without the extra non-neighbor requirement."""
-    out = []
+def choice_2(g: Graph, ctx: ChoiceContext, strong: bool = True) -> Iterator[int]:
+    """Choice-3 vertices that also miss a neighbor in the border of the
+    triggering member."""
+    return _missing_circ(g, ctx, choice_3(g, ctx, strong))
+
+
+def choice_3(g: Graph, ctx: ChoiceContext, strong: bool = True) -> Iterator[int]:
+    """Choice-1 vertices that sit in the interior of one merged member
+    while a different merged member contains the whole merged border."""
     for u in _type1_candidates(g, ctx.f_bullet, strong):
-        if _has_split_pair(g, ctx, u, ctx.f_bullet.border):
-            out.append(frozenset({u}))
-    return tuple(out)
+        if _has_split_pair(ctx, u):
+            yield 1 << u
 
 
-def _has_split_pair(g, ctx, u, bullet_border) -> bool:
+def _has_split_pair(ctx: ChoiceContext, u: int) -> bool:
     """u lies in the interior of some merged member F1 while a different
     merged member F2 contains the merged border."""
-    f1 = next((m for m in ctx.members if u in m.interior), None)
+    f1 = next((m for m in ctx.members if m.interior >> u & 1), None)
     if f1 is None:
         return False
-    return any(
-        m is not f1 and bullet_border <= m.vertices for m in ctx.members
-    )
+    border = ctx.f_bullet.border
+    return any(m is not f1 and not border & ~m.mask for m in ctx.members)
 
 
-def choice_4(g: Graph, ctx: ChoiceContext) -> tuple[frozenset[int], ...]:
+def choice_4(g: Graph, ctx: ChoiceContext) -> Iterator[int]:
     """Non-adjacent interior pairs of the target block."""
-    ints = sorted(ctx.f_bullet.interior)
-    return tuple(
-        frozenset({a, b})
-        for a, b in combinations(ints, 2)
-        if b not in g.adj[a]
-    )
+    adj = interval_kernel(g).adj
+    interior = ctx.f_bullet.interior
+    for a in _members(interior):
+        for b in _members(interior & ~adj[a] & -(2 << a)):
+            yield 1 << a | 1 << b
 
 
-def choice_5(g: Graph, ctx: ChoiceContext) -> tuple[frozenset[int], ...]:
+def choice_5(g: Graph, ctx: ChoiceContext) -> Iterator[int]:
     """Non-adjacent pairs inside one merged member's interior, each vertex
     with a non-neighbor in the triggering border, such that the closed
     neighborhood of either vertex leaves the other connected to the
     partner's witness."""
-    witnessed = _witness_test(g, ctx)
-    out = set()
-    for member in ctx.members:
-        for a, b in combinations(sorted(member.interior), 2):
-            if witnessed(a, b):
-                out.add(frozenset({a, b}))
-    return tuple(sorted(out, key=sorted))
+    return _witnessed_pairs(g, ctx, same=True)
 
 
-def choice_6(g: Graph, ctx: ChoiceContext) -> tuple[frozenset[int], ...]:
+def choice_6(g: Graph, ctx: ChoiceContext) -> Iterator[int]:
     """Like choice_5 but the two vertices come from the interiors of two
     different merged members."""
-    witnessed = _witness_test(g, ctx)
-    out = set()
-    for m1, m2 in combinations(ctx.members, 2):
-        for a in sorted(m1.interior):
-            for b in sorted(m2.interior):
-                if witnessed(a, b):
-                    out.add(frozenset({a, b}))
-    return tuple(sorted(out, key=sorted))
+    return _witnessed_pairs(g, ctx, same=False)
 
 
-def _witness_test(g: Graph, ctx: ChoiceContext):
-    """``witnessed(a, b)``: a and b are non-adjacent, and each has a
-    non-neighbor in the triggering border lying in the other's component
-    of G - N[itself]."""
+def _witnessed_pairs(g: Graph, ctx: ChoiceContext, same: bool) -> Iterator[int]:
+    """The non-adjacent pairs a < b of merged-interior vertices, lying in
+    one member's interior when ``same`` and in two members' otherwise,
+    such that each of a, b has a non-neighbor in the triggering border
+    inside the other's component of G - N[itself]."""
     k = interval_kernel(g)
-    circ = sum(1 << v for v in ctx.f_circ.border)
-
-    def witnessed(a: int, b: int) -> bool:
+    circ = ctx.f_circ.border
+    # member interiors are pairwise disjoint (a family law), so each vertex
+    # has one owner
+    owner = {v: i for i, m in enumerate(ctx.members) for v in _members(m.interior)}
+    pool = _mask_of(owner)
+    for a in _members(pool):
         # the side of a maps b to its component of G - N[a] plus neighbors
         # of a; masking those neighbors off leaves the component
-        if k.adj[a] >> b & 1:
-            return False
-        return bool(
-            k.side(a)[b] & circ & ~k.adj[a] and k.side(b)[a] & circ & ~k.adj[b]
-        )
-
-    return witnessed
+        for b in _members(pool & ~k.adj[a] & -(2 << a)):
+            if (owner[a] == owner[b]) != same:
+                continue
+            if k.side(a)[b] & circ & ~k.adj[a] and k.side(b)[a] & circ & ~k.adj[b]:
+                yield 1 << a | 1 << b
 
 
-def choice_7(
-    g: Graph, ctx: ChoiceContext, f1: Block
-) -> tuple[frozenset[int], ...]:
-    """Interior vertices of merged members other than f1 that miss a
-    neighbor in the triggering border."""
-    out = set()
-    for member in ctx.members:
-        if member.vertices == f1.vertices:
-            continue
-        for u in sorted(member.interior):
-            if _nonneighbors_in(g, u, ctx.f_circ.border):
-                out.add(frozenset({u}))
-    return tuple(sorted(out, key=sorted))
+def choice_7(g: Graph, ctx: ChoiceContext, f1: _Member) -> Iterator[int]:
+    """Choice-8 vertices that miss a neighbor in the triggering border."""
+    return _missing_circ(g, ctx, choice_8(g, ctx, f1))
 
 
-def choice_8(
-    g: Graph, ctx: ChoiceContext, f1: Block
-) -> tuple[frozenset[int], ...]:
+def choice_8(g: Graph, ctx: ChoiceContext, f1: _Member) -> Iterator[int]:
     """Any interior vertex of a merged member other than f1."""
-    out = set()
-    for member in ctx.members:
-        if member.vertices == f1.vertices:
-            continue
-        for u in sorted(member.interior):
-            out.add(frozenset({u}))
-    return tuple(sorted(out, key=sorted))
+    pool = 0
+    for m in ctx.members:
+        if m.mask != f1.mask:
+            pool |= m.interior
+    for u in _members(pool):
+        yield 1 << u
+
+
+def _missing_circ(g: Graph, ctx: ChoiceContext, picks: Iterator[int]) -> Iterator[int]:
+    """The single-vertex picks that miss a neighbor in the triggering
+    border."""
+    adj = interval_kernel(g).adj
+    circ = ctx.f_circ.border
+    return (p for p in picks if circ & ~adj[p.bit_length() - 1] & ~p)
+
+
+def _first(rungs: list[tuple[str, Iterator[int]]]) -> tuple[int, str]:
+    """The first pick of the first rung that yields one, with the rung's
+    label.  Rungs are tried in order, and a rung runs only until its first
+    pick."""
+    for label, picks in rungs:
+        pick = next(picks, None)
+        if pick is not None:
+            return pick, label
+    raise SolverInvariantError(f"{rungs[-1][0]} found no candidate")
 
 
 # -- concavity ----------------------------------------------------------------
@@ -339,22 +322,23 @@ def _interior_concave(g: Graph, mem: _Member) -> bool:
     """The interior of a member is t-concave: the fast test when its border
     is a clique and its interior connected, otherwise a scan of the
     intervals of the non-adjacent pairs outside it."""
-    b = mem.block
-    if not b.interior:
+    interior = mem.interior
+    if not interior:
         return True
     k = interval_kernel(g)
-    if k.clique(mem.border) and k.connected(mem.mask & ~mem.border):
-        return fast_concavity_test(g, b)
-    outside = sorted(frozenset(range(g.n)) - b.interior)
-    for a, c in combinations(outside, 2):
-        if c not in g.adj[a] and toll_interval(g, a, c) & b.interior:
+    if k.clique(mem.border) and k.connected(interior):
+        return fast_concavity_test(g, make_block(g, mem.key))
+    # toll_interval answers with a frozenset
+    inner = frozenset(_members(interior))
+    for a, c in combinations(_members(k.full & ~interior), 2):
+        if not k.adj[a] >> c & 1 and toll_interval(g, a, c) & inner:
             return False
     return True
 
 
 def _classify(g: Graph, mem: _Member) -> None:
     mem.concave = _interior_concave(g, mem)
-    mem.ctype = classify_type(g, mem.block) if mem.concave else None
+    mem.ctype = classify_type(g, mem.interior) if mem.concave else None
 
 
 # -- the solver ---------------------------------------------------------------
@@ -366,10 +350,6 @@ def _least_nonadjacent_pair(g: Graph) -> frozenset[int]:
             if v not in g.adj[u]:
                 return frozenset({u, v})
     raise SolverInvariantError("no non-adjacent pair in a non-complete graph")
-
-
-def _granularity(ctype: int, interior: frozenset[int]) -> int:
-    return len(interior) if ctype == TYPE3 else ctype
 
 
 def solve(g: Graph, collect_trace: bool = True) -> HullResult:
@@ -426,7 +406,7 @@ def _solve_reducible(g: Graph, dec: AtomDecomposition, trace) -> HullResult:
     k = interval_kernel(g)
     f_index, m_index = _Index(g.n), _Index(g.n)
     for seq, (atom, flag) in enumerate(zip(dec.atoms, dec.extremal_flags)):
-        mem = _member(g, atom, seq)
+        mem = _member(g, _mask_of(atom), seq)
         if flag:
             _classify(g, mem)
             f_index.add(mem)
@@ -441,36 +421,32 @@ def _solve_reducible(g: Graph, dec: AtomDecomposition, trace) -> HullResult:
     if len(f_index.members) < 2:
         raise SolverInvariantError("reducible graph with fewer than two extremal atoms")
 
-    s: set[int] = set()
+    s = 0  # the hull set
 
     for mem in sorted(f_index.members, key=_by_key):
-        if not mem.block.interior:
+        if not mem.interior:
             raise SolverInvariantError("extremal atom with empty interior")
         if not mem.concave:
             continue
-        ctx = ChoiceContext(
-            f_circ=mem.block, f_bullet=mem.block, members=(mem.block,),
-            i=mem.ctype, k=0,
-        )
+        ctx = ChoiceContext(f_circ=mem, f_bullet=mem, members=(mem,))
         if mem.ctype == TYPE1:
-            picks, label = choice_1(g, ctx), "choice_1"
-            if not picks:
-                picks, label = choice_1(g, ctx, strong=False), "choice_1-weak"
+            pick, label = _first([
+                ("choice_1", choice_1(g, ctx)),
+                ("choice_1-weak", choice_1(g, ctx, strong=False)),
+            ])
         elif mem.ctype == TYPE2:
-            picks, label = choice_4(g, ctx), "choice_4"
+            pick, label = _first([("choice_4", choice_4(g, ctx))])
         else:
-            picks, label = (mem.block.interior,), "type3"
-        if not picks:
-            raise SolverInvariantError(f"{label} found no candidate")
-        mem.chosen = picks[0]
-        s |= picks[0]
+            pick, label = mem.interior, "type3"
+        mem.chosen = pick
+        s |= pick
         if trace is not None:
             trace.append({
                 "phase": "initial",
                 "member": list(mem.key),
                 "type": mem.ctype,
                 "choice": label,
-                "chosen": sorted(picks[0]),
+                "chosen": _members(pick),
             })
 
     # The merge targets are the non-concave members whose border lies in
@@ -506,18 +482,17 @@ def _solve_reducible(g: Graph, dec: AtomDecomposition, trace) -> HullResult:
         f_prime = f_index.containing(target.border)
         if len(m_prime) + len(f_prime) < 2:
             raise SolverInvariantError("merge target lost its partner")
-        new_mask = 0
+        new_mask = chosen = 0
         for m in m_prime:
             m_index.remove(m)
             new_mask |= m.mask
         for f in f_prime:
             f_index.remove(f)
             new_mask |= f.mask
-        new_member = _member(
-            g, frozenset(_members(new_mask)), len(dec.atoms) + iteration
-        )
+            chosen |= f.chosen
+        new_member = _member(g, new_mask, len(dec.atoms) + iteration)
         _classify(g, new_member)
-        new_member.chosen = frozenset().union(*[f.chosen for f in f_prime])
+        new_member.chosen = chosen
         _check_family_invariants(
             g, new_member, f_index.meeting(new_mask) + m_index.meeting(new_mask)
         )
@@ -546,11 +521,11 @@ def _solve_reducible(g: Graph, dec: AtomDecomposition, trace) -> HullResult:
             "chosen": [],
         }
         if new_member.concave:
-            _apply_merge_choice(g, target, f_prime, m_prime, new_member, s, entry)
+            s = _apply_merge_choice(g, target, f_prime, m_prime, new_member, s, entry)
         if trace is not None:
             trace.append(entry)
 
-    return _finish(g, list(f_index.members), list(m_index.members), s, trace)
+    return _finish(list(f_index.members), list(m_index.members), s, trace)
 
 
 def _pick_merge_target(queue, f_index: _Index) -> _Member | None:
@@ -563,7 +538,9 @@ def _pick_merge_target(queue, f_index: _Index) -> _Member | None:
     return None
 
 
-def _apply_merge_choice(g, target, f_prime, m_prime, new_member, s, entry):
+def _apply_merge_choice(g, target, f_prime, m_prime, new_member, s, entry) -> int:
+    """Pick the vertices of a merged concave member, record them in the
+    member and the trace entry, and return the hull set with them."""
     i = new_member.ctype
     k_members = [f for f in f_prime if f.concave]
     k = len(k_members)
@@ -573,84 +550,66 @@ def _apply_merge_choice(g, target, f_prime, m_prime, new_member, s, entry):
         raise SolverInvariantError("merged concave member of type other than 1")
     if i == TYPE1 and k > 1:
         raise SolverInvariantError("type-1 merge with two concave members")
-    member_blocks = tuple(m.block for m in sorted(f_prime + m_prime, key=_by_key))
     ctx = ChoiceContext(
-        f_circ=target.block,
-        f_bullet=new_member.block,
-        members=member_blocks,
-        i=i,
-        k=k,
+        f_circ=target,
+        f_bullet=new_member,
+        members=tuple(sorted(f_prime + m_prime, key=_by_key)),
     )
     entry["k"] = k
 
     if i == TYPE1 and k == 0:
-        picks, label = choice_2(g, ctx), "choice_2"
-        if not picks:
-            picks, label = choice_3(g, ctx), "choice_3"
-        if not picks:
+        pick, label = _first([
+            ("choice_2", choice_2(g, ctx)),
+            ("choice_3", choice_3(g, ctx)),
             # the structural clause can exclude every vertex with border
             # witnesses on all sides; those witnesses outrank the clause
-            picks, label = choice_1(g, ctx), "choice_1-fallback"
-        if not picks:
-            picks, label = choice_2(g, ctx, strong=False), "choice_2-weak"
-        if not picks:
-            picks, label = choice_3(g, ctx, strong=False), "choice_3-weak"
-        if not picks:
-            picks, label = choice_1(g, ctx, strong=False), "choice_1-weak"
-        if not picks:
-            raise SolverInvariantError("choice_3 found no candidate")
-        new_member.chosen = picks[0]
-        s |= picks[0]
-        entry["choice"], entry["chosen"] = label, sorted(picks[0])
+            ("choice_1-fallback", choice_1(g, ctx)),
+            ("choice_2-weak", choice_2(g, ctx, strong=False)),
+            ("choice_3-weak", choice_3(g, ctx, strong=False)),
+            ("choice_1-weak", choice_1(g, ctx, strong=False)),
+        ])
+        chosen = pick
     elif i == TYPE1 and k == 1:
         # the merge may have swallowed the border vertex that justified the
-        # earlier pick; keep it only if choice_1 still returns it on the
-        # merged block
+        # earlier pick; keep it only if choice_1 still yields it on the
+        # merged member
         f1 = k_members[0]
-        picks, label = choice_1(g, ctx), "carried"
-        if not picks:
-            picks, label = choice_1(g, ctx, strong=False), "carried-weak"
-        if not picks:
-            raise SolverInvariantError("type-1 merge lost every qualifying vertex")
-        if f1.chosen in picks:
-            new_member.chosen = f1.chosen
+        pick, label = _first([
+            ("carried", choice_1(g, ctx)),
+            ("carried-weak", choice_1(g, ctx, strong=False)),
+        ])
+        if f1.chosen in choice_1(g, ctx, strong=label == "carried"):
+            pick = f1.chosen
         else:
             label = "reselected"
-            s -= f1.chosen
-            s |= picks[0]
-            new_member.chosen = picks[0]
-        entry["choice"] = label
-        entry["chosen"] = sorted(new_member.chosen)
+            s &= ~f1.chosen
+        chosen = pick
     elif i == TYPE2 and k == 0:
-        picks, label = choice_5(g, ctx), "choice_5"
-        if not picks:
-            picks, label = choice_6(g, ctx), "choice_6"
-        if not picks:
-            raise SolverInvariantError("neither choice_5 nor choice_6 applies")
-        new_member.chosen = picks[0]
-        s |= picks[0]
-        entry["choice"], entry["chosen"] = label, sorted(picks[0])
+        pick, label = _first([
+            ("choice_5", choice_5(g, ctx)),
+            ("choice_6", choice_6(g, ctx)),
+        ])
+        chosen = pick
     elif i == TYPE2 and k == 1:
         f1 = k_members[0]
-        singles, label = choice_7(g, ctx, f1.block), "choice_7"
-        if not singles:
-            singles, label = choice_8(g, ctx, f1.block), "choice_8"
-        if not singles:
-            raise SolverInvariantError("choice_8 found no candidate")
-        s |= singles[0]
-        new_member.chosen = f1.chosen | singles[0]
-        entry["choice"], entry["chosen"] = label, sorted(singles[0])
+        pick, label = _first([
+            ("choice_7", choice_7(g, ctx, f1)),
+            ("choice_8", choice_8(g, ctx, f1)),
+        ])
+        chosen = f1.chosen | pick
     elif i == TYPE2 and k == 2:
-        new_member.chosen = k_members[0].chosen | k_members[1].chosen
-        entry["choice"] = "carried"
+        pick, label = 0, "carried"
+        chosen = k_members[0].chosen | k_members[1].chosen
     else:
         # no rule exists for a merged type-3 interior; it is believed
         # unreachable, but a silent miscount would be worse than a loud one
         warnings.warn("merged block produced a type-3 interior; taking all of it")
-        new_member.chosen = new_member.block.interior
-        s |= new_member.chosen
-        entry["choice"], entry["chosen"] = "type3-defensive", sorted(new_member.chosen)
+        pick = chosen = new_member.interior
+        label = "type3-defensive"
         entry["defensive"] = True
+    new_member.chosen = chosen
+    entry["choice"], entry["chosen"] = label, _members(pick)
+    return s | pick
 
 
 def _check_family_invariants(g, new_member, others):
@@ -658,66 +617,50 @@ def _check_family_invariants(g, new_member, others):
     interiors disjoint from every other member, pairwise clique overlaps.
     ``others`` needs to hold only the members meeting it, since a disjoint
     member keeps both laws."""
-    if not new_member.block.interior:
+    interior = new_member.interior
+    if not interior:
         raise SolverInvariantError("merged member with empty interior")
     k = interval_kernel(g)
-    interior = new_member.mask & ~new_member.border
     for o in others:
-        if interior & o.mask & ~o.border:
+        if interior & o.interior:
             raise SolverInvariantError("member interiors overlap")
         if not k.clique(new_member.mask & o.mask):
             raise SolverInvariantError("member overlap is not a clique")
 
 
-def _finish(g, f_members, m_members, s, trace) -> HullResult:
-    s_frozen = frozenset(s)
+def _finish(f_members, m_members, s, trace) -> HullResult:
     family = []
-    covered: set[int] = set()
-    extreme: set[int] = set()
+    covered = extreme = 0
     for mem in sorted(f_members, key=_by_key):
         if not mem.concave:
             continue
-        interior = mem.block.interior
-        gran = _granularity(mem.ctype, interior)
-        got = s_frozen & interior
-        if got != mem.chosen or len(got) != gran:
+        interior = mem.interior
+        gran = interior.bit_count() if mem.ctype == TYPE3 else mem.ctype
+        got = s & interior
+        if got != mem.chosen or got.bit_count() != gran:
             raise SolverInvariantError("granularity accounting failed")
         covered |= got
         if mem.ctype == TYPE3:
             extreme |= interior
         family.append(CharacteristicBlock(
-            vertices=interior,
+            vertices=frozenset(_members(interior)),
             ctype=mem.ctype,
             granularity=gran,
-            chosen=tuple(sorted(got)),
+            chosen=tuple(_members(got)),
         ))
-    if covered != s_frozen:
+    if covered != s:
         raise SolverInvariantError("selected vertex outside every concave interior")
-    if sum(b.granularity for b in family) != len(s_frozen):
+    if sum(b.granularity for b in family) != s.bit_count():
         raise SolverInvariantError("granularities do not sum to the hull size")
+    hull_set = frozenset(_members(s))
     return HullResult(
-        hull_set=s_frozen,
-        hull_number=len(s_frozen),
+        hull_set=hull_set,
+        hull_number=len(hull_set),
         family=tuple(family),
-        f_star=tuple(f.block.vertices for f in sorted(f_members, key=_by_key)),
-        m_star=tuple(m.block.vertices for m in sorted(m_members, key=_by_key)),
-        extreme_vertices=frozenset(extreme),
+        f_star=tuple(frozenset(f.key) for f in sorted(f_members, key=_by_key)),
+        m_star=tuple(frozenset(m.key) for m in sorted(m_members, key=_by_key)),
+        extreme_vertices=frozenset(_members(extreme)),
         prime=False,
         complete=False,
         trace=tuple(trace) if trace is not None else (),
     )
-
-
-def characteristic_family(result: HullResult) -> tuple[CharacteristicBlock, ...]:
-    """The pairwise-disjoint t-concave sets whose granularities sum to the
-    hull number (empty for prime non-complete graphs)."""
-    return result.family
-
-
-def extreme_vertices_via_family(result: HullResult) -> frozenset[int]:
-    """Toll extreme vertices read off the family: the type-3 members."""
-    out: set[int] = set()
-    for block in result.family:
-        if block.ctype == TYPE3:
-            out |= block.vertices
-    return frozenset(out)

@@ -1,9 +1,11 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 
 from conftest import connected_graphs, random_trees, vid, vids
 from tollhull import solver
-from tollhull.atoms import AtomDecomposition, block_of
+from tollhull.atoms import AtomDecomposition
 from tollhull.convexity import extreme_vertices, toll_hull
 from tollhull.enumeration import enumerate_min_hull_sets
 from tollhull.graph import (
@@ -23,34 +25,46 @@ from tollhull.solver import (
     TYPE3,
     ChoiceContext,
     SolverInvariantError,
-    characteristic_family,
     choice_1,
     choice_4,
     choice_5,
     classify_type,
-    extreme_vertices_via_family,
     solve,
 )
 
 
+def mask(g: Graph, labels: str) -> int:
+    return sum(1 << v for v in vids(g, labels))
+
+
+def member(g: Graph, labels: str):
+    """The working-family member made of the labelled vertices."""
+    return solver._member(g, mask(g, labels), 0)
+
+
+def type3_union(r) -> frozenset:
+    return frozenset().union(*(b.vertices for b in r.family if b.ctype == TYPE3))
+
+
 def test_classify_types_on_fig_blocks():
     g = g12()
-    m1 = block_of(g, vids(g, "v1 v2 v3 v4 v5"))
-    assert classify_type(g, m1) == TYPE3
-    m4 = block_of(g, vids(g, "v8 v9 v10 v11 v12"))
-    assert classify_type(g, m4) == TYPE1
+    m1 = member(g, "v1 v2 v3 v4 v5")
+    assert m1.interior == mask(g, "v1 v2 v3")
+    assert classify_type(g, m1.interior) == TYPE3
+    m4 = member(g, "v8 v9 v10 v11 v12")
+    assert classify_type(g, m4.interior) == TYPE1
     s = star3()
-    leaf = block_of(s, vids(s, "x c"))
-    assert classify_type(s, leaf) == TYPE3
+    leaf = member(s, "x c")
+    assert classify_type(s, leaf.interior) == TYPE3
 
 
 def test_classify_type2():
     # wheel on four rim vertices plus a pendant: the rim is completely
     # joined to the hub but is itself no clique
     g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 1), (4, 2), (4, 3), (4, 5)])
-    wheel = block_of(g, frozenset({0, 1, 2, 3, 4}))
-    assert wheel.interior == frozenset({0, 1, 2, 3})
-    assert classify_type(g, wheel) == TYPE2
+    wheel = solver._member(g, 0b11111, 0)
+    assert wheel.interior == 0b1111
+    assert classify_type(g, wheel.interior) == TYPE2
 
 
 def test_solve_fig_graph():
@@ -140,36 +154,34 @@ def test_solver_is_deterministic():
 
 def test_choice_1_on_fig_end_block():
     g = g12()
-    m4 = block_of(g, vids(g, "v8 v9 v10 v11 v12"))
-    ctx = ChoiceContext(f_circ=m4, f_bullet=m4, members=(m4,), i=TYPE1, k=0)
-    assert choice_1(g, ctx) == (vids(g, "v11"),)
+    m4 = member(g, "v8 v9 v10 v11 v12")
+    ctx = ChoiceContext(f_circ=m4, f_bullet=m4, members=(m4,))
+    assert tuple(choice_1(g, ctx)) == (mask(g, "v11"),)
 
 
 def test_choice_4_menu():
     g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 1), (4, 2), (4, 3), (4, 5)])
-    wheel = block_of(g, frozenset({0, 1, 2, 3, 4}))
-    ctx = ChoiceContext(f_circ=wheel, f_bullet=wheel, members=(wheel,), i=TYPE2, k=0)
-    assert choice_4(g, ctx) == (frozenset({0, 2}), frozenset({1, 3}))
+    wheel = solver._member(g, 0b11111, 0)
+    ctx = ChoiceContext(f_circ=wheel, f_bullet=wheel, members=(wheel,))
+    assert tuple(choice_4(g, ctx)) == (0b101, 0b1010)
 
 
 def test_choice_5_conditions_on_theta():
     # builds the merge context by hand: the choice-5 conditions single out
     # the far pair on the three-vertex side
     t = theta7()
-    side_z = block_of(t, vids(t, "s t z1 z2"))
-    side_p = block_of(t, vids(t, "s t p r q"))
-    whole = block_of(t, frozenset(range(7)))
-    ctx = ChoiceContext(
-        f_circ=side_z, f_bullet=whole, members=(side_z, side_p), i=TYPE2, k=0
-    )
-    assert choice_5(t, ctx) == (vids(t, "p q"),)
+    side_z = member(t, "s t z1 z2")
+    side_p = member(t, "s t p r q")
+    whole = solver._member(t, 0b1111111, 0)
+    ctx = ChoiceContext(f_circ=side_z, f_bullet=whole, members=(side_z, side_p))
+    assert tuple(choice_5(t, ctx)) == (mask(t, "p q"),)
 
 
 def test_family_accessors():
+    # the type-3 blocks of the family are the toll extreme vertices
     g = g12()
     r = solve(g)
-    assert characteristic_family(r) == r.family
-    assert extreme_vertices_via_family(r) == vids(g, "v1 v2 v3")
+    assert type3_union(r) == r.extreme_vertices == vids(g, "v1 v2 v3")
 
 
 @given(connected_graphs(max_n=8))
@@ -186,7 +198,7 @@ def test_solver_matches_bruteforce(g):
 @settings(max_examples=60)
 def test_family_extremes_match_operator(g):
     r = solve(g)
-    assert extreme_vertices_via_family(r) == extreme_vertices(g)
+    assert type3_union(r) == r.extreme_vertices == extreme_vertices(g)
 
 
 @given(random_trees(min_n=7, max_n=16))
@@ -263,16 +275,16 @@ def test_mass_random_agreement():
 
 def test_family_invariants_reject_overlapping_interiors():
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    new = solver._member(g, frozenset({0, 1, 2}), 1)
-    other = solver._member(g, frozenset({0, 1}), 0)
+    new = solver._member(g, 0b111, 1)
+    other = solver._member(g, 0b11, 0)
     with pytest.raises(SolverInvariantError, match="interiors overlap"):
         solver._check_family_invariants(g, new, [other])
 
 
 def test_family_invariants_reject_non_clique_overlap():
     g = generate("cycle", 6)
-    new = solver._member(g, frozenset({0, 1, 2, 3}), 1)
-    other = solver._member(g, frozenset({3, 4, 5, 0}), 0)
+    new = solver._member(g, 0b1111, 1)
+    other = solver._member(g, 0b111001, 0)
     with pytest.raises(SolverInvariantError, match="not a clique"):
         solver._check_family_invariants(g, new, [other])
 
@@ -286,3 +298,29 @@ def test_non_extremal_atom_must_disconnect(monkeypatch):
     monkeypatch.setattr(solver, "atoms", lambda g: fake)
     with pytest.raises(SolverInvariantError, match="fails to disconnect"):
         solve(Graph(4, [(0, 1), (1, 2), (2, 3)]))
+
+
+def test_rule_census_on_corpus(corpus):
+    # how often each (phase, rule) fires over every connected graph with
+    # n <= 7; a rule that yields its picks in another order, or a fallback
+    # chain that stops at another rung, moves a count
+    census = Counter()
+    for g in corpus:
+        for entry in solve(g).trace:
+            census[entry["phase"], entry.get("choice")] += 1
+    assert census == {
+        ("initial", "type3"): 1294,
+        ("initial", "choice_1"): 341,
+        ("initial", "choice_4"): 9,
+        ("initial", "choice_1-weak"): 2,
+        ("merge", "choice_8"): 90,
+        ("merge", "choice_3"): 56,
+        ("merge", "carried"): 29,
+        ("merge", "choice_7"): 7,
+        ("merge", "choice_2"): 5,
+        ("merge", "choice_1-fallback"): 1,
+        ("merge", "choice_6"): 1,
+        ("merge", None): 106,
+        ("prime", None): 204,
+        ("complete", None): 7,
+    }
