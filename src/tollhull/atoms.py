@@ -26,7 +26,7 @@ the weight of every unnumbered u that v reaches along a path whose inner
 vertices are unnumbered and lighter than u; each such u gains v in
 madj(u).  Vertex sets are int masks on the graph's ``IntervalKernel``,
 and the reach search floods the unnumbered vertices one weight level at a
-time, lightest first.
+time, lightest first, skipping the weights no unnumbered vertex has.
 """
 from __future__ import annotations
 
@@ -58,14 +58,15 @@ def _mcs_m(k: IntervalKernel) -> tuple[list[int], list[int]]:
     n = len(adj)
     level = [0] * (n + 1)  # level[w]: the unnumbered vertices of weight w
     level[0] = unnumbered = k.full
-    top = 0
+    occupied = 1  # bit w set when level[w] is not empty
     order = [0] * (n + 1)
     madj = [0] * n
     for i in range(n, 0, -1):
-        while not level[top]:
-            top -= 1
+        top = occupied.bit_length() - 1
         low = level[top] & -level[top]
         level[top] ^= low
+        if not level[top]:
+            occupied ^= 1 << top
         unnumbered ^= low
         v = order[i] = low.bit_length() - 1
 
@@ -75,7 +76,7 @@ def _mcs_m(k: IntervalKernel) -> tuple[list[int], list[int]]:
         seen = adj[v]
         flooded = lighter = 0
         reached = []
-        for w in range(top + 1):
+        for w in _members(occupied):
             lighter |= level[w]
             hit = seen & level[w]
             if hit:
@@ -88,12 +89,13 @@ def _mcs_m(k: IntervalKernel) -> tuple[list[int], list[int]]:
         updated = 0
         for w, hit in reversed(reached):
             level[w] ^= hit
+            if not level[w]:
+                occupied ^= 1 << w
             level[w + 1] |= hit
+            occupied |= 2 << w
             updated |= hit
         for u in _members(updated):
             madj[u] |= low
-        if level[top + 1]:
-            top += 1
     return order, madj
 
 

@@ -151,6 +151,27 @@ class IntervalKernel:
             done.append(v)
         return mask
 
+    def concavity_witness(self, block: int, v0: int) -> int:
+        """The first non-adjacent pair u < z outside the block whose
+        interval holds v0, as ``1 << u | 1 << z``, or 0 when there is none.
+
+        v0 must be an interior vertex of the block: it has no neighbour
+        outside, so for outside u the side of u maps v0 to the component of
+        G - N[u] holding it.  Pairs are tried by u, then by z, so the scan
+        stops at the first pair that holds v0.  When the block's border is a
+        clique and its interior connected, a pair exists exactly when the
+        interior is not t-concave (see ``fast_concavity_test``).
+        """
+        outside = self.full & ~block
+        for u in _members(outside):
+            later = self.side(u)[v0] & outside & ~self.adj[u] & -(2 << u)
+            while later:
+                low = later & -later
+                if self.side(low.bit_length() - 1)[v0] >> u & 1:
+                    return 1 << u | low
+                later ^= low
+        return 0
+
 
 def interval_kernel(g: Graph) -> IntervalKernel:
     """The kernel of g, kept on the graph so that it dies with it."""
@@ -304,10 +325,10 @@ def fast_concavity_test(g: Graph, b: Block) -> bool:
     both endpoints outside the block and sweeps the whole interior, so a
     single interior vertex v0 decides for all: the interior fails to be
     t-concave exactly when v0 lies in the interval of some non-adjacent
-    u, z outside the block.  That is one mask test per such pair, so at
+    u, z outside the block.  The answer is a bool view of
+    ``IntervalKernel.concavity_witness``, which looks for such a pair: at
     most O(n^2) mask tests, plus O(n) mask operations to build the kernel
-    side of each outside vertex not built before; the scan stops at the
-    first pair that holds v0.
+    side of each outside vertex not built before.
 
     A block outside that scope raises ``GraphError``: the border is checked
     with ``Graph.is_clique``, and the interior's connectivity with one mask
@@ -321,15 +342,4 @@ def fast_concavity_test(g: Graph, b: Block) -> bool:
     k = interval_kernel(g)
     if not k.connected(_mask_of(b.interior)):
         raise GraphError("fast concavity test needs a connected interior")
-    outside = k.full & ~_mask_of(b.vertices)
-    v0 = min(b.interior)
-    # v0 has no neighbour outside the block, so for outside u the side of u
-    # maps v0 to the component of G - N[u] holding it
-    for u in _members(outside):
-        later = k.side(u)[v0] & outside & ~k.adj[u] & -(2 << u)
-        while later:
-            low = later & -later
-            if k.side(low.bit_length() - 1)[v0] >> u & 1:
-                return False
-            later ^= low
-    return True
+    return not k.concavity_witness(_mask_of(b.vertices), min(b.interior))

@@ -17,10 +17,16 @@ and on how many merged members were already concave.
 
 Every vertex set in the solver is an int mask, bit v standing for vertex
 v, on the graph's ``IntervalKernel``.  Frozensets appear only in the
-``HullResult`` and at the two calls into public convexity operators,
-``fast_concavity_test`` and the pair scan's ``toll_interval``.  Each
+``HullResult`` and at the pair scan's calls to ``toll_interval``.  Each
 selection rule yields its picks, as masks, in a fixed order, and the
 solver takes the first pick of the first rule that yields one.
+
+A member found not t-concave keeps its witness: a non-adjacent pair with
+no vertex in the interior whose toll interval meets the interior.  Merges
+only grow members, and an interior vertex keeps all its neighbours inside
+the merged member, so each absorbed interior lies in the merged interior.
+A witness of an absorbed member with neither end in the merged interior
+therefore refutes the merged member too, and is tried before any test.
 
 The t-concave interiors left in the family at the end form a family of
 pairwise disjoint concave sets whose granularities add up to the hull
@@ -36,12 +42,15 @@ from itertools import combinations
 from operator import attrgetter
 
 from .atoms import AtomDecomposition, atoms
+# perfbench's traced mode counts the concavity layer by wrapping the names
+# fast_concavity_test and toll_interval in this module, so both stay bound
+# here, and the pair scan calls toll_interval through it, until the solver
+# records its own counts; fast_concavity_test itself is no longer called
 from .convexity import (
     _mask_of,
     _members,
     fast_concavity_test,
     interval_kernel,
-    make_block,
     toll_interval,
 )
 from .graph import Graph, GraphError
@@ -113,7 +122,9 @@ class _Member:
     ``mask`` and ``border`` are the masks of its vertices and of its
     border (the vertices with a neighbor outside it), ``key`` its sorted
     vertices, which order the family, ``seq`` its place in the order the
-    members were made, and ``chosen`` the mask of its picks.
+    members were made, and ``chosen`` the mask of its picks.  ``witness``
+    is 0, or for a member whose interior is not t-concave, the mask of a
+    non-adjacent pair outside the interior whose toll interval meets it.
     """
 
     mask: int
@@ -123,6 +134,7 @@ class _Member:
     concave: bool = False
     ctype: int | None = None
     chosen: int = 0
+    witness: int = 0
 
     @property
     def interior(self) -> int:
@@ -318,26 +330,35 @@ def _first(rungs: list[tuple[str, Iterator[int]]]) -> tuple[int, str]:
 # -- concavity ----------------------------------------------------------------
 
 
-def _interior_concave(g: Graph, mem: _Member) -> bool:
-    """The interior of a member is t-concave: the fast test when its border
-    is a clique and its interior connected, otherwise a scan of the
-    intervals of the non-adjacent pairs outside it."""
+def _interior_concave(g: Graph, mem: _Member, parts=()) -> bool:
+    """The interior of a member is t-concave.  A witness of one of the
+    ``parts``, the members absorbed into it, refutes it when neither end
+    lies in its interior; otherwise the fast test decides when its border
+    is a clique and its interior connected, and a scan of the intervals of
+    the non-adjacent pairs outside it decides the rest.  A refuted member
+    keeps the pair that refuted it as its ``witness``."""
     interior = mem.interior
     if not interior:
         return True
+    for p in parts:
+        if p.witness and not p.witness & interior:
+            mem.witness = p.witness
+            return False
     k = interval_kernel(g)
     if k.clique(mem.border) and k.connected(interior):
-        return fast_concavity_test(g, make_block(g, mem.key))
+        mem.witness = k.concavity_witness(mem.mask, (interior & -interior).bit_length() - 1)
+        return not mem.witness
     # toll_interval answers with a frozenset
     inner = frozenset(_members(interior))
     for a, c in combinations(_members(k.full & ~interior), 2):
         if not k.adj[a] >> c & 1 and toll_interval(g, a, c) & inner:
+            mem.witness = 1 << a | 1 << c
             return False
     return True
 
 
-def _classify(g: Graph, mem: _Member) -> None:
-    mem.concave = _interior_concave(g, mem)
+def _classify(g: Graph, mem: _Member, parts=()) -> None:
+    mem.concave = _interior_concave(g, mem, parts)
     mem.ctype = classify_type(g, mem.interior) if mem.concave else None
 
 
@@ -491,7 +512,7 @@ def _solve_reducible(g: Graph, dec: AtomDecomposition, trace) -> HullResult:
             new_mask |= f.mask
             chosen |= f.chosen
         new_member = _member(g, new_mask, len(dec.atoms) + iteration)
-        _classify(g, new_member)
+        _classify(g, new_member, f_prime)
         new_member.chosen = chosen
         _check_family_invariants(
             g, new_member, f_index.meeting(new_mask) + m_index.meeting(new_mask)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from conftest import connected_graphs, random_trees, vid, vids
 from tollhull import solver
 from tollhull.atoms import AtomDecomposition
-from tollhull.convexity import extreme_vertices, toll_hull
+from tollhull.convexity import extreme_vertices, is_t_concave, toll_hull, toll_interval
 from tollhull.enumeration import enumerate_min_hull_sets
 from tollhull.graph import (
     Graph,
@@ -324,3 +324,35 @@ def test_rule_census_on_corpus(corpus):
         ("prime", None): 204,
         ("complete", None): 7,
     }
+
+
+def test_concavity_verdicts_and_witnesses_on_corpus(corpus, monkeypatch):
+    # every member solve classifies: the verdict is t-concavity of its
+    # interior, and a refuted member's witness is a non-adjacent pair
+    # outside the interior whose interval meets it; a merged member whose
+    # absorbed members carry such a pair takes the first of them
+    counts = Counter()
+    classify = solver._classify
+
+    def checked(g, mem, parts=()):
+        inside = mem.interior
+        inherited = [p.witness for p in parts if p.witness and not p.witness & inside]
+        classify(g, mem, parts)
+        interior = frozenset(solver._members(inside))
+        assert mem.concave == is_t_concave(g, interior)
+        if mem.concave:
+            assert mem.witness == 0
+            return
+        counts["refuted"] += 1
+        a, c = solver._members(mem.witness)
+        assert c not in g.adj[a]
+        assert not {a, c} & interior
+        assert toll_interval(g, a, c) & interior
+        if inherited:
+            assert mem.witness == inherited[0]
+            counts["by parts"] += 1
+
+    monkeypatch.setattr(solver, "_classify", checked)
+    for g in corpus:
+        solve(g)
+    assert counts["refuted"] > counts["by parts"] > 0
