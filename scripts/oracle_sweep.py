@@ -18,6 +18,10 @@ graph and on random graphs with at most ``MAX_ATOMS_N`` vertices.
 The closure of the solver's hull set is checked with the brute-force
 ``bf_hull``, not with the production ``toll_hull``.
 
+At the end of each mode the sweep prints its rule census: how often each
+selection rule fired in the solver's trace, by phase (``initial`` or
+``merge``) and rule label.
+
 Exits non-zero on any discrepancy.  Typical use:
 
   python scripts/oracle_sweep.py --corpus tests/data/connected_le7.g6
@@ -28,6 +32,7 @@ import itertools
 import random
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -59,8 +64,13 @@ def interval_mismatches(g: Graph) -> int:
     return bad
 
 
-def hull_mismatch(g: Graph) -> bool:
+def hull_mismatch(g: Graph, rules: Counter) -> bool:
+    """The solver's hull number or closure disagrees with brute force; the
+    rules that fired in the solver's trace are counted into ``rules``."""
     r = solve(g)
+    rules.update(
+        (e["phase"], e["choice"]) for e in r.trace if e.get("choice") is not None
+    )
     want = bf_hull_number(g)
     if r.hull_number != want or bf_hull(g, r.hull_set) != frozenset(range(g.n)):
         print(f"hull mismatch on {sorted(g.edges())}: {r.hull_number} vs {want}")
@@ -85,29 +95,38 @@ def enumeration_incomplete(g: Graph) -> bool:
     return not report.complete
 
 
+def print_census(rules: Counter) -> None:
+    for phase in sorted({phase for phase, _ in rules}):
+        fired = sorted((c, n) for (p, c), n in rules.items() if p == phase)
+        print(f"  {phase} rules: " + ", ".join(f"{c} {n}" for c, n in fired))
+
+
 def sweep_corpus(path: str) -> int:
     graphs = parse_graph6_file(Path(path).read_text())
     bad = 0
-    census = {"complete": 0, "incomplete": 0}
+    enumerations = {"complete": 0, "incomplete": 0}
+    rules: Counter = Counter()
     started = time.perf_counter()
     for g in graphs:
-        bad += interval_mismatches(g) + hull_mismatch(g) + atoms_mismatch(g)
+        bad += interval_mismatches(g) + hull_mismatch(g, rules) + atoms_mismatch(g)
         if g.n <= MAX_ENUM_N:
             incomplete = enumeration_incomplete(g)
-            census["incomplete" if incomplete else "complete"] += 1
+            enumerations["incomplete" if incomplete else "complete"] += 1
             bad += incomplete
     elapsed = time.perf_counter() - started
     print(
         f"corpus: {len(graphs)} graphs, {bad} discrepancies, "
-        f"enumeration {census['complete']} complete / "
-        f"{census['incomplete']} incomplete, {elapsed:.1f}s"
+        f"enumeration {enumerations['complete']} complete / "
+        f"{enumerations['incomplete']} incomplete, {elapsed:.1f}s"
     )
+    print_census(rules)
     return bad
 
 
 def sweep_random(count: int, max_n: int, seed: int) -> int:
     rng = random.Random(seed)
     bad = checked = 0
+    rules: Counter = Counter()
     started = time.perf_counter()
     while checked < count:
         n = rng.randint(2, max_n)
@@ -119,7 +138,7 @@ def sweep_random(count: int, max_n: int, seed: int) -> int:
         if not g.is_connected():
             continue
         checked += 1
-        bad += interval_mismatches(g) + hull_mismatch(g)
+        bad += interval_mismatches(g) + hull_mismatch(g, rules)
         if n <= MAX_ATOMS_N:
             bad += atoms_mismatch(g)
         if n <= MAX_ENUM_N:
@@ -129,6 +148,7 @@ def sweep_random(count: int, max_n: int, seed: int) -> int:
             bad += enumeration_incomplete(g)
     elapsed = time.perf_counter() - started
     print(f"random: {checked} graphs, {bad} discrepancies, {elapsed:.1f}s")
+    print_census(rules)
     return bad
 
 

@@ -6,9 +6,8 @@ graphs in polynomial time, and streams all minimum hull sets; brute-force
 oracles certify every computation at small scale.
 """
 
-from .atoms import AtomDecomposition, atoms, block_of, extremal_atoms, is_prime
+from .atoms import AtomDecomposition, atoms, extremal_atoms, is_prime
 from .convexity import (
-    Block,
     extreme_vertices,
     fast_concavity_test,
     interval_of_set,
@@ -50,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AtomDecomposition",
-    "Block",
     "CharacteristicBlock",
     "EnumerationReport",
     "Graph",
@@ -60,7 +58,6 @@ __all__ = [
     "SizeLimitError",
     "SolverInvariantError",
     "atoms",
-    "block_of",
     "compare_with_bruteforce",
     "enumerate_min_hull_sets",
     "extremal_atoms",

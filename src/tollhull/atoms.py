@@ -31,7 +31,7 @@ time, lightest first, skipping the weights no unnumbered vertex has.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .convexity import Block, IntervalKernel, _members, interval_kernel, make_block
+from .convexity import IntervalKernel, _members, interval_kernel
 from .graph import Graph, GraphError
 
 
@@ -182,11 +182,3 @@ def extremal_atoms(d: AtomDecomposition) -> list[frozenset[int]]:
     if len(d.atoms) < 2:
         raise GraphError("extremal atoms are defined only for reducible graphs")
     return d.extremal()
-
-
-def block_of(g: Graph, f) -> Block:
-    """Border/interior split of an arbitrary vertex set."""
-    f = frozenset(f)
-    for v in f:
-        g._check_vertex(v)
-    return make_block(g, f)

@@ -255,6 +255,7 @@ def _verify_one(g: Graph) -> dict:
         enum_report = compare_with_bruteforce(g)
         report["enumeration_complete"] = enum_report.complete
         report["enumeration_count"] = len(enum_report.emitted)
+        agree = agree and enum_report.complete
     else:
         report["atoms_match"] = None
         report["enumeration_complete"] = None

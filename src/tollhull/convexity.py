@@ -17,32 +17,16 @@ vertex sets as int masks, bit v standing for vertex v, and builds the
 components of G - N[u] for a vertex u only when an interval first needs
 them, so a closure that reaches V after a few pairs touches a few
 vertices.  The kernel lives in a slot of the ``Graph`` it belongs to and
-is freed with it.  The public functions take and return frozensets.
+is freed with it.  It also splits a vertex set into its border (the
+vertices with a neighbour outside the set) and interior, the split the
+solver and the fast concavity test share.  The public functions take and
+return frozensets.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, compress
 
 from .graph import Graph, GraphError
-
-
-@dataclass(frozen=True)
-class Block:
-    """A vertex set F split into its border (members with a neighbor
-    outside F) and interior (the rest)."""
-
-    vertices: frozenset[int]
-    border: frozenset[int]
-    interior: frozenset[int]
-
-    def validate(self, g: Graph) -> None:
-        assert self.border | self.interior == self.vertices
-        assert not (self.border & self.interior)
-        for v in self.border:
-            assert g.adj[v] - self.vertices
-        for v in self.interior:
-            assert not (g.adj[v] - self.vertices)
 
 
 class IntervalKernel:
@@ -123,6 +107,18 @@ class IntervalKernel:
         """Every two vertices of the mask are adjacent."""
         adj = self.adj
         return all(mask & ~adj[v] == 1 << v for v in _members(mask))
+
+    def border(self, mask: int) -> int:
+        """The vertices of the mask with a neighbour outside it; the rest of
+        the mask is its interior."""
+        adj, outside = self.adj, ~mask
+        out, rest = 0, mask
+        while rest:
+            low = rest & -rest
+            if adj[low.bit_length() - 1] & outside:
+                out |= low
+            rest ^= low
+        return out
 
     def connected(self, mask: int) -> bool:
         """The non-empty mask induces a connected subgraph."""
@@ -239,10 +235,10 @@ def interval_of_set(g: Graph, s) -> frozenset[int]:
     s = frozenset(s)
     if not s:
         raise GraphError("interval of the empty set is undefined")
+    out = _checked_mask(g, s)
     if len(s) == 1:
         return s
     _require_connected(g)
-    out = _checked_mask(g, s)
     k = interval_kernel(g)
     for a, b in combinations(sorted(s), 2):
         out |= k.interval(a, b)
@@ -265,19 +261,23 @@ def is_t_convex(g: Graph, s) -> bool:
     """s is closed under toll intervals of its pairs.  The empty set and
     V are convex by convention."""
     _require_connected(g)
-    s = frozenset(s)
-    if len(s) <= 1 or len(s) == g.n:
-        return True
-    inside = _checked_mask(g, s)
-    k = interval_kernel(g)
-    return not any(
-        k.interval(a, b) & ~inside for a, b in combinations(sorted(s), 2)
-    )
+    return _convex(interval_kernel(g), _checked_mask(g, frozenset(s)))
 
 
 def is_t_concave(g: Graph, s) -> bool:
     """The complement of s is t-convex."""
-    return is_t_convex(g, frozenset(range(g.n)) - frozenset(s))
+    _require_connected(g)
+    k = interval_kernel(g)
+    return _convex(k, k.full & ~_checked_mask(g, frozenset(s)))
+
+
+def _convex(k: IntervalKernel, inside: int) -> bool:
+    """The mask holds the interval of each of its pairs."""
+    if inside.bit_count() <= 1 or inside == k.full:
+        return True
+    return not any(
+        k.interval(a, b) & ~inside for a, b in combinations(_members(inside), 2)
+    )
 
 
 def _simplicial_mask(k: IntervalKernel) -> int:
@@ -311,15 +311,11 @@ def extreme_vertices(g: Graph) -> frozenset[int]:
     return frozenset(_members(k.full & ~hit))
 
 
-def make_block(g: Graph, f) -> Block:
-    f = frozenset(f)
-    border = frozenset(v for v in f if g.adj[v] - f)
-    return Block(vertices=f, border=border, interior=f - border)
-
-
-def fast_concavity_test(g: Graph, b: Block) -> bool:
-    """Concavity of a block interior, for blocks whose border is a clique
-    and whose interior induces a connected graph.
+def fast_concavity_test(g: Graph, vertices) -> bool:
+    """Concavity of the interior of a block, the given vertex set, for
+    blocks whose border is a clique and whose interior induces a connected
+    graph.  The border is the set of block vertices with a neighbour
+    outside the block (``IntervalKernel.border``), the interior the rest.
 
     Under those preconditions any tolled walk entering the interior has
     both endpoints outside the block and sweeps the whole interior, so a
@@ -330,16 +326,20 @@ def fast_concavity_test(g: Graph, b: Block) -> bool:
     most O(n^2) mask tests, plus O(n) mask operations to build the kernel
     side of each outside vertex not built before.
 
-    A block outside that scope raises ``GraphError``: the border is checked
-    with ``Graph.is_clique``, and the interior's connectivity with one mask
-    flood on the kernel (``IntervalKernel.connected``).
+    A block outside that scope raises ``GraphError``, as does a vertex out
+    of range.  The preconditions are checked on masks: the border with
+    ``IntervalKernel.clique``, the interior with one flood
+    (``IntervalKernel.connected``).
     """
     _require_connected(g)
-    if not b.interior:
-        raise GraphError("fast concavity test needs a non-empty interior")
-    if not g.is_clique(b.border):
-        raise GraphError("fast concavity test needs a clique border")
+    block = _checked_mask(g, frozenset(vertices))
     k = interval_kernel(g)
-    if not k.connected(_mask_of(b.interior)):
+    border = k.border(block)
+    interior = block & ~border
+    if not interior:
+        raise GraphError("fast concavity test needs a non-empty interior")
+    if not k.clique(border):
+        raise GraphError("fast concavity test needs a clique border")
+    if not k.connected(interior):
         raise GraphError("fast concavity test needs a connected interior")
-    return not k.concavity_witness(_mask_of(b.vertices), min(b.interior))
+    return not k.concavity_witness(block, (interior & -interior).bit_length() - 1)

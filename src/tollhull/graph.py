@@ -68,9 +68,6 @@ class Graph:
 
     # -- basic accessors ------------------------------------------------
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def neighbors(self, v: int) -> frozenset[int]:
         """Open neighborhood N(v)."""
         self._check_vertex(v)

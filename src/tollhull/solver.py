@@ -107,8 +107,6 @@ class HullResult:
     hull_set: frozenset[int]
     hull_number: int
     family: tuple[CharacteristicBlock, ...]
-    f_star: tuple[frozenset[int], ...]
-    m_star: tuple[frozenset[int], ...]
     extreme_vertices: frozenset[int]
     prime: bool
     complete: bool
@@ -155,11 +153,8 @@ _by_key = attrgetter("key")
 
 
 def _member(g: Graph, mask: int, seq: int) -> _Member:
-    adj = interval_kernel(g).adj
-    key = tuple(_members(mask))
-    outside = ~mask
-    border = _mask_of(v for v in key if adj[v] & outside)
-    return _Member(mask=mask, border=border, key=key, seq=seq)
+    border = interval_kernel(g).border(mask)
+    return _Member(mask=mask, border=border, key=tuple(_members(mask)), seq=seq)
 
 
 class _Index:
@@ -373,14 +368,13 @@ def _least_nonadjacent_pair(g: Graph) -> frozenset[int]:
     raise SolverInvariantError("no non-adjacent pair in a non-complete graph")
 
 
-def solve(g: Graph, collect_trace: bool = True) -> HullResult:
+def solve(g: Graph) -> HullResult:
     """Compute a minimum toll hull set with its characteristic family."""
     if g.n == 0:
         raise GraphError("hull of the empty graph is undefined")
     if not g.is_connected():
         raise GraphError("hull computation requires a connected graph")
     V = frozenset(range(g.n))
-    trace: list[dict] = []
 
     if g.is_clique(V):
         block = CharacteristicBlock(
@@ -389,42 +383,35 @@ def solve(g: Graph, collect_trace: bool = True) -> HullResult:
             granularity=g.n,
             chosen=tuple(range(g.n)),
         )
-        if collect_trace:
-            trace.append({"phase": "complete"})
         return HullResult(
             hull_set=V,
             hull_number=g.n,
             family=(block,),
-            f_star=(V,),
-            m_star=(),
             extreme_vertices=V,
             prime=True,
             complete=True,
-            trace=tuple(trace),
+            trace=({"phase": "complete"},),
         )
 
     dec = atoms(g)
     if len(dec.atoms) == 1:
         pair = _least_nonadjacent_pair(g)
-        if collect_trace:
-            trace.append({"phase": "prime", "pair": sorted(pair)})
         return HullResult(
             hull_set=pair,
             hull_number=2,
             family=(),
-            f_star=(V,),
-            m_star=(),
             extreme_vertices=frozenset(),
             prime=True,
             complete=False,
-            trace=tuple(trace),
+            trace=({"phase": "prime", "pair": sorted(pair)},),
         )
 
-    return _solve_reducible(g, dec, trace if collect_trace else None)
+    return _solve_reducible(g, dec)
 
 
-def _solve_reducible(g: Graph, dec: AtomDecomposition, trace) -> HullResult:
+def _solve_reducible(g: Graph, dec: AtomDecomposition) -> HullResult:
     k = interval_kernel(g)
+    trace: list[dict] = []
     f_index, m_index = _Index(g.n), _Index(g.n)
     for seq, (atom, flag) in enumerate(zip(dec.atoms, dec.extremal_flags)):
         mem = _member(g, _mask_of(atom), seq)
@@ -461,14 +448,13 @@ def _solve_reducible(g: Graph, dec: AtomDecomposition, trace) -> HullResult:
             pick, label = mem.interior, "type3"
         mem.chosen = pick
         s |= pick
-        if trace is not None:
-            trace.append({
-                "phase": "initial",
-                "member": list(mem.key),
-                "type": mem.ctype,
-                "choice": label,
-                "chosen": _members(pick),
-            })
+        trace.append({
+            "phase": "initial",
+            "member": list(mem.key),
+            "type": mem.ctype,
+            "choice": label,
+            "chosen": _members(pick),
+        })
 
     # The merge targets are the non-concave members whose border lies in
     # another member, their partner.  A partner merged away leaves its
@@ -543,10 +529,9 @@ def _solve_reducible(g: Graph, dec: AtomDecomposition, trace) -> HullResult:
         }
         if new_member.concave:
             s = _apply_merge_choice(g, target, f_prime, m_prime, new_member, s, entry)
-        if trace is not None:
-            trace.append(entry)
+        trace.append(entry)
 
-    return _finish(list(f_index.members), list(m_index.members), s, trace)
+    return _finish(f_index.members, s, trace)
 
 
 def _pick_merge_target(queue, f_index: _Index) -> _Member | None:
@@ -649,7 +634,7 @@ def _check_family_invariants(g, new_member, others):
             raise SolverInvariantError("member overlap is not a clique")
 
 
-def _finish(f_members, m_members, s, trace) -> HullResult:
+def _finish(f_members, s, trace) -> HullResult:
     family = []
     covered = extreme = 0
     for mem in sorted(f_members, key=_by_key):
@@ -678,10 +663,8 @@ def _finish(f_members, m_members, s, trace) -> HullResult:
         hull_set=hull_set,
         hull_number=len(hull_set),
         family=tuple(family),
-        f_star=tuple(frozenset(f.key) for f in sorted(f_members, key=_by_key)),
-        m_star=tuple(frozenset(m.key) for m in sorted(m_members, key=_by_key)),
         extreme_vertices=frozenset(_members(extreme)),
         prime=False,
         complete=False,
-        trace=tuple(trace) if trace is not None else (),
+        trace=tuple(trace),
     )

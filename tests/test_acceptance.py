@@ -19,7 +19,6 @@ from tollhull.convexity import (
     extreme_vertices,
     fast_concavity_test,
     is_t_concave,
-    make_block,
     toll_hull,
     toll_interval,
 )
@@ -151,18 +150,24 @@ def test_criterion_4_exhaustive_oracle_agreement(corpus):
         assert time.perf_counter() - started < 600.0
 
 
+def _interior(g, f):
+    """The vertices of f with no neighbour outside f."""
+    return frozenset(v for v in f if g.adj[v] <= f)
+
+
 def test_criterion_5_fast_concavity_agreement(corpus):
     with criterion(5, "component-based concavity test matches the definition"):
         for g in corpus:
             for size in range(1, g.n + 1):
                 for sub in combinations(range(g.n), size):
-                    b = make_block(g, frozenset(sub))
-                    if not b.interior or not g.is_clique(b.border):
+                    f = frozenset(sub)
+                    interior = _interior(g, f)
+                    if not interior or not g.is_clique(f - interior):
                         continue
-                    inner, _ = g.subgraph(b.interior)
+                    inner, _ = g.subgraph(interior)
                     if not inner.is_connected():
                         continue
-                    assert fast_concavity_test(g, b) == is_t_concave(g, b.interior)
+                    assert fast_concavity_test(g, f) == is_t_concave(g, interior)
 
         rng = random.Random(424242)
         graphs_checked = 0
@@ -185,13 +190,14 @@ def test_criterion_5_fast_concavity_agreement(corpus):
                         if z not in grown and len(grown) < size:
                             grown.add(z)
                             frontier.append(z)
-                b = make_block(g, frozenset(grown))
-                if not b.interior or not g.is_clique(b.border):
+                f = frozenset(grown)
+                interior = _interior(g, f)
+                if not interior or not g.is_clique(f - interior):
                     continue
-                inner, _ = g.subgraph(b.interior)
+                inner, _ = g.subgraph(interior)
                 if not inner.is_connected():
                     continue
-                assert fast_concavity_test(g, b) == is_t_concave(g, b.interior)
+                assert fast_concavity_test(g, f) == is_t_concave(g, interior)
                 blocks_checked += 1
                 kept += 1
                 if kept >= 2:

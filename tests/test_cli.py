@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -125,6 +126,30 @@ def test_verify_mismatch_exit(monkeypatch, theta_file, capsys):
     monkeypatch.setattr(cli, "bf_hull_number", lambda g: 99)
     assert run(["verify", theta_file]) == EXIT_MISMATCH
     assert "MISMATCH" in capsys.readouterr().out
+
+
+def test_verify_fails_on_incomplete_enumeration(monkeypatch, theta_file, capsys):
+    import tollhull.cli as cli
+
+    real = cli.compare_with_bruteforce
+
+    def incomplete(g):
+        # the stream misses its first set
+        report = real(g)
+        return dataclasses.replace(
+            report,
+            emitted=report.emitted[1:],
+            complete=False,
+            missing=report.emitted[:1],
+        )
+
+    monkeypatch.setattr(cli, "compare_with_bruteforce", incomplete)
+    assert run(["verify", theta_file, "--format", "json"]) == EXIT_MISMATCH
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["result"]["agreement"] is False
+    (report,) = doc["result"]["reports"]
+    assert report["enumeration_complete"] is False
+    assert report["agreement"] is False
 
 
 def test_gen_roundtrip(tmp_path, capsys):

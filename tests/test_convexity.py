@@ -7,16 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import connected_graphs, vid, vids
-from tollhull.atoms import block_of
+from tollhull import solver
 from tollhull.convexity import (
-    Block,
+    _members,
     extreme_vertices,
     fast_concavity_test,
     interval_of_set,
     is_t_concave,
     is_t_convex,
     is_toll_extreme,
-    make_block,
     toll_hull,
     toll_interval,
 )
@@ -56,6 +55,9 @@ def test_interval_of_set():
     assert interval_of_set(g, {vid(g, "v7")}) == {vid(g, "v7")}
     with pytest.raises(GraphError):
         interval_of_set(g, frozenset())
+    for bad in (99, -1):
+        with pytest.raises(GraphError):
+            interval_of_set(c5(), {bad})  # the singleton short path checks too
 
 
 def test_hull_fixtures():
@@ -75,6 +77,13 @@ def test_convexity_predicates():
     assert is_t_convex(g, frozenset())
     assert is_t_convex(g, frozenset(range(12)))
     assert not is_t_convex(g, vids(g, "v1 v6"))
+    # the short paths (at most one vertex, or as many as g.n) check too
+    for bad in (99, -1):
+        for s in ({bad}, {0, 1, 2, 3, bad}):
+            with pytest.raises(GraphError):
+                is_t_convex(c5(), s)
+        with pytest.raises(GraphError):
+            is_t_concave(c5(), {bad})
 
 
 def test_extreme_vertices_fixtures():
@@ -88,40 +97,34 @@ def test_extreme_vertices_fixtures():
 
 def test_block_construction():
     g = g12()
-    b = block_of(g, vids(g, "v1 v2 v3 v4 v5"))
-    assert b.border == vids(g, "v4 v5")
-    assert b.interior == vids(g, "v1 v2 v3")
-    b.validate(g)
-    whole = block_of(g, frozenset(range(12)))
-    assert whole.border == frozenset()
-    assert whole.interior == frozenset(range(12))
+
+    def split(vs):
+        mem = solver._member(g, sum(1 << v for v in vs), 0)
+        return frozenset(_members(mem.border)), frozenset(_members(mem.interior))
+
+    assert split(vids(g, "v1 v2 v3 v4 v5")) == (vids(g, "v4 v5"), vids(g, "v1 v2 v3"))
+    assert split(range(12)) == (frozenset(), frozenset(range(12)))
 
 
 def test_fast_concavity_on_fixtures():
     g = g12()
-    m4 = block_of(g, vids(g, "v8 v9 v10 v11 v12"))
-    assert fast_concavity_test(g, m4)
-    m1 = block_of(g, vids(g, "v1 v2 v3 v4 v5"))
-    assert fast_concavity_test(g, m1)
+    assert fast_concavity_test(g, vids(g, "v8 v9 v10 v11 v12"))
+    assert fast_concavity_test(g, vids(g, "v1 v2 v3 v4 v5"))
     t = theta7()
-    zblock = block_of(t, vids(t, "s t z1 z2"))
-    assert not fast_concavity_test(t, zblock)
+    assert not fast_concavity_test(t, vids(t, "s t z1 z2"))
 
 
 def test_fast_concavity_preconditions():
     g = g12()
     with pytest.raises(GraphError):
-        fast_concavity_test(g, make_block(g, vids(g, "v4 v5")))  # empty interior
-    bad_border = Block(
-        vertices=vids(g, "v1 v10 v11"),
-        border=vids(g, "v1 v10"),
-        interior=vids(g, "v11"),
-    )
+        fast_concavity_test(g, vids(g, "v4 v5"))  # empty interior
     with pytest.raises(GraphError):
-        fast_concavity_test(g, bad_border)  # border not a clique
-    disconnected_interior = make_block(g, vids(g, "v1 v2 v3 v4 v5 v6 v7 v8 v9 v11"))
+        fast_concavity_test(g, vids(g, "v10 v11 v12"))  # border {v10, v12}
     with pytest.raises(GraphError):
-        fast_concavity_test(g, disconnected_interior)
+        fast_concavity_test(g, vids(g, "v1 v2 v3 v4 v5 v6 v7 v8 v9 v11"))
+    for bad in (99, -1):
+        with pytest.raises(GraphError):
+            fast_concavity_test(g, {0, bad})
 
 
 @given(connected_graphs(max_n=7))
@@ -199,34 +202,36 @@ def test_extreme_vertices_are_simplicial(g):
 
 
 def _qualifying_blocks(g):
+    """(vertices, interior) of every vertex set whose interior, the
+    vertices with no neighbour outside the set, is non-empty and connected
+    while the rest of the set is a clique."""
     out = []
     for size in range(1, g.n + 1):
         for sub in combinations(range(g.n), size):
-            b = make_block(g, frozenset(sub))
-            if not b.interior:
+            f = frozenset(sub)
+            interior = frozenset(v for v in f if g.adj[v] <= f)
+            if not interior or not g.is_clique(f - interior):
                 continue
-            if not g.is_clique(b.border):
-                continue
-            inner, _ = g.subgraph(b.interior)
+            inner, _ = g.subgraph(interior)
             if inner.is_connected():
-                out.append(b)
+                out.append((f, interior))
     return out
 
 
 @given(connected_graphs(max_n=6))
 @settings(max_examples=25)
 def test_fast_concavity_matches_definition(g):
-    for b in _qualifying_blocks(g):
-        assert fast_concavity_test(g, b) == is_t_concave(g, b.interior)
+    for f, interior in _qualifying_blocks(g):
+        assert fast_concavity_test(g, f) == is_t_concave(g, interior)
 
 
 @given(connected_graphs(max_n=7))
 @settings(max_examples=25)
 def test_component_all_or_none(g):
     # any connected chunk of a clique-bordered interior is swallowed whole
-    for b in _qualifying_blocks(g):
-        outside = sorted(set(range(g.n)) - b.vertices)
-        inner, old = g.subgraph(b.interior)
+    for f, interior in _qualifying_blocks(g):
+        outside = sorted(set(range(g.n)) - f)
+        inner, old = g.subgraph(interior)
         chunks = [frozenset(old[v] for v in comp) for comp in inner.components()]
         for x, y in combinations(outside, 2):
             interval = toll_interval(g, x, y)

@@ -7,7 +7,7 @@ from conftest import connected_graphs, random_trees, vid, vids
 from tollhull import solver
 from tollhull.atoms import AtomDecomposition
 from tollhull.convexity import extreme_vertices, is_t_concave, toll_hull, toll_interval
-from tollhull.enumeration import enumerate_min_hull_sets
+from tollhull.enumeration import compare_with_bruteforce, enumerate_min_hull_sets
 from tollhull.graph import (
     Graph,
     GraphError,
@@ -15,6 +15,7 @@ from tollhull.graph import (
     g12,
     generate,
     is_caterpillar,
+    parse_graph6,
     star3,
     theta7,
 )
@@ -324,6 +325,31 @@ def test_rule_census_on_corpus(corpus):
         ("prime", None): 204,
         ("complete", None): 7,
     }
+
+
+@pytest.mark.parametrize(
+    "text, merge, label",
+    [
+        # the carried type-1 pick has no strong replacement on the merged
+        # member, so the weak form keeps it
+        ("Hh{HPOJ", (TYPE1, 1), "carried-weak"),
+        # the strong rungs and choice_2-weak find no candidate
+        ("GN{Pa_", (TYPE1, 0), "choice_3-weak"),
+    ],
+)
+def test_weak_merge_rungs_fire(text, merge, label):
+    # the smallest graphs known to reach these two rungs, outside the n <= 7
+    # corpus; the hull and every minimum hull set still match brute force
+    g = parse_graph6(text)
+    r = solve(g)
+    fired = [
+        (e["type"], e["k"]) for e in r.trace
+        if e["phase"] == "merge" and e["choice"] == label
+    ]
+    assert fired == [merge]
+    assert r.hull_number == bf_hull_number(g) == 3
+    assert toll_hull(g, r.hull_set) == frozenset(range(g.n))
+    assert compare_with_bruteforce(g).complete
 
 
 def test_concavity_verdicts_and_witnesses_on_corpus(corpus, monkeypatch):
