@@ -20,7 +20,8 @@ The closure of the solver's hull set is checked with the brute-force
 
 At the end of each mode the sweep prints its rule census: how often each
 selection rule fired in the solver's trace, by phase (``initial`` or
-``merge``) and rule label.
+``merge``), the member's type, for a merge k (how many absorbed members
+were already t-concave), and rule label.
 
 Exits non-zero on any discrepancy.  Typical use:
 
@@ -69,7 +70,8 @@ def hull_mismatch(g: Graph, rules: Counter) -> bool:
     rules that fired in the solver's trace are counted into ``rules``."""
     r = solve(g)
     rules.update(
-        (e["phase"], e["choice"]) for e in r.trace if e.get("choice") is not None
+        (e["phase"], e["type"], e.get("k"), e["choice"])
+        for e in r.trace if e.get("choice") is not None
     )
     want = bf_hull_number(g)
     if r.hull_number != want or bf_hull(g, r.hull_set) != frozenset(range(g.n)):
@@ -96,9 +98,13 @@ def enumeration_incomplete(g: Graph) -> bool:
 
 
 def print_census(rules: Counter) -> None:
-    for phase in sorted({phase for phase, _ in rules}):
-        fired = sorted((c, n) for (p, c), n in rules.items() if p == phase)
-        print(f"  {phase} rules: " + ", ".join(f"{c} {n}" for c, n in fired))
+    """One line per arm: phase, type and, for a merge, k."""
+    arms: dict[tuple, list[str]] = {}
+    for (phase, ctype, k, label), n in sorted(rules.items()):
+        arms.setdefault((phase, ctype, k), []).append(f"{label} {n}")
+    for (phase, ctype, k), fired in arms.items():
+        arm = f"type {ctype}" if k is None else f"type {ctype} k={k}"
+        print(f"  {phase} {arm}: " + ", ".join(fired))
 
 
 def sweep_corpus(path: str) -> int:

@@ -185,8 +185,7 @@ def _mask_of(vertices) -> int:
 
 
 def _checked_mask(g: Graph, vertices) -> int:
-    for v in vertices:
-        g._check_vertex(v)
+    g._check_vertex(*vertices)
     return _mask_of(vertices)
 
 
@@ -219,8 +218,7 @@ def toll_interval(g: Graph, x: int, y: int) -> frozenset[int]:
 
     Adjacent endpoints admit only the edge walk, so the interval is {x,y}.
     """
-    g._check_vertex(x)
-    g._check_vertex(y)
+    g._check_vertex(x, y)
     if x == y:
         raise GraphError("toll interval endpoints must differ")
     _require_connected(g)

@@ -9,11 +9,11 @@ many from each interior and nothing from anywhere else.
 
 A block's options are the granularity-subsets of its interior that close
 to V in place of the block's pick in the solver's hull set S*; the stream
-is their product.  That this product holds every minimum hull set and
-nothing else is not proven here: ``scripts/oracle_sweep.py`` checks it
-against the exhaustive oracle, and every emitted set is verified (a
-failure is a hard error).  Prime graphs take every non-adjacent pair,
-complete graphs all of V.
+is their product.  That it holds every minimum hull set and nothing else
+is not proven here, but ``compare_with_bruteforce`` was complete on every
+connected graph with n <= 8 (``scripts/oracle_sweep.py``), and every
+emitted set is verified (a failure is a hard error).  Prime graphs take
+every non-adjacent pair, complete graphs all of V.
 
 Options are checked when the product first reaches them and then kept, so
 between two emissions each block's subsets are scanned at most once.  Only

@@ -83,8 +83,7 @@ class Graph:
         return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
+        self._check_vertex(u, v)
         return v in self.adj[u]
 
     def edges(self) -> list[tuple[int, int]]:
@@ -97,9 +96,10 @@ class Graph:
         except ValueError:
             raise GraphError(f"unknown vertex label {label!r}") from None
 
-    def _check_vertex(self, v: int) -> None:
-        if not (0 <= v < self.n):
-            raise GraphError(f"vertex {v} out of range for n={self.n}")
+    def _check_vertex(self, *vs: int) -> None:
+        for v in vs:
+            if not (0 <= v < self.n):
+                raise GraphError(f"vertex {v} out of range for n={self.n}")
 
     # -- connectivity primitives ----------------------------------------
 
@@ -109,6 +109,8 @@ class Graph:
         Output is ordered ascending by smallest member.
         """
         cut = set(removed)
+        if cut:  # is_connected, on every parsed graph, passes none
+            self._check_vertex(*cut)
         seen = set(cut)
         out: list[frozenset[int]] = []
         for root in range(self.n):
@@ -137,8 +139,7 @@ class Graph:
         s = set(s)
         if u in s or v in s:
             raise GraphError("separation endpoints must lie outside the deleted set")
-        self._check_vertex(u)
-        self._check_vertex(v)
+        self._check_vertex(u, v, *s)
 
         def together(comps: list[frozenset[int]]) -> bool:
             return any(u in c and v in c for c in comps)
@@ -150,16 +151,16 @@ class Graph:
     def is_clique(self, s: Iterable[int]) -> bool:
         """Every two members adjacent; the empty set and singletons qualify."""
         vs = sorted(set(s))
-        for v in vs:
-            self._check_vertex(v)
+        self._check_vertex(*vs)
         return all(b in self.adj[a] for a, b in combinations(vs, 2))
 
     def is_simplicial(self, v: int) -> bool:
-        return self.is_clique(self.adj[v])
+        return self.is_clique(self.neighbors(v))
 
     def subgraph(self, vertices: Iterable[int]) -> tuple["Graph", list[int]]:
         """Induced subgraph plus the new-id -> old-id table."""
         old = sorted(set(vertices))
+        self._check_vertex(*old)
         index = {o: i for i, o in enumerate(old)}
         edges = [
             (index[u], index[v])

@@ -133,8 +133,7 @@ def bf_toll_interval(
     _guard(g, MAX_INTERVAL_N, "bf_toll_interval")
     if x == y:
         raise GraphError("toll interval endpoints must differ")
-    g._check_vertex(x)
-    g._check_vertex(y)
+    g._check_vertex(x, y)
     if not g.is_connected():
         raise GraphError("toll interval requires a connected graph")
     cap = (2 * g.n + 3) if max_edges is None else max_edges

@@ -34,7 +34,6 @@ number; the type-3 members are exactly the toll extreme vertices.
 """
 from __future__ import annotations
 
-import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -572,7 +571,6 @@ def _apply_merge_choice(g, target, f_prime, m_prime, new_member, s, entry) -> in
             ("choice_1-fallback", choice_1(g, ctx)),
             ("choice_2-weak", choice_2(g, ctx, strong=False)),
             ("choice_3-weak", choice_3(g, ctx, strong=False)),
-            ("choice_1-weak", choice_1(g, ctx, strong=False)),
         ])
         chosen = pick
     elif i == TYPE1 and k == 1:
@@ -607,12 +605,13 @@ def _apply_merge_choice(g, target, f_prime, m_prime, new_member, s, entry) -> in
         pick, label = 0, "carried"
         chosen = k_members[0].chosen | k_members[1].chosen
     else:
-        # no rule exists for a merged type-3 interior; it is believed
-        # unreachable, but a silent miscount would be worse than a loud one
-        warnings.warn("merged block produced a type-3 interior; taking all of it")
-        pick = chosen = new_member.interior
-        label = "type3-defensive"
-        entry["defensive"] = True
+        # A merged interior I is never of type 3.  The target t is one of
+        # the absorbed members, and its interior I_t is non-empty and lies
+        # in I.  Were I + N(I) a clique K, a vertex u of I_t would have
+        # N[u] = K, all inside t; so every vertex of I keeps its closed
+        # neighbourhood in t, and I = I_t.  A target is never t-concave,
+        # so the merged member would not have been classified at all.
+        raise SolverInvariantError("merged member classified as type 3")
     new_member.chosen = chosen
     entry["choice"], entry["chosen"] = label, _members(pick)
     return s | pick

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import connected_graphs, random_trees, vids
+from conftest import DATA_DIR, connected_graphs, random_trees, vids
 from tollhull.graph import (
     Graph,
     GraphError,
@@ -78,8 +78,20 @@ def test_isolated_vertex_neighborhoods():
 
 
 def test_neighbors_out_of_range():
-    with pytest.raises(GraphError):
-        Graph(3).neighbors(3)
+    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    cycle = c5()
+    # a negative vertex must not be read through Python's negative indexing
+    for call in (
+        lambda: Graph(3).neighbors(3),
+        lambda: star.is_simplicial(-1),
+        lambda: star.is_simplicial(99),
+        lambda: cycle.subgraph({-1, 0}),
+        lambda: cycle.subgraph({99}),
+        lambda: cycle.components([99]),
+        lambda: cycle.separates([99, 1], 0, 2),
+    ):
+        with pytest.raises(GraphError):
+            call()
 
 
 def test_separates_on_fig_graph():
@@ -194,6 +206,18 @@ def test_corpus_counts(corpus):
         by_n[g.n] = by_n.get(g.n, 0) + 1
     assert by_n == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
     assert all(g.is_connected() for g in corpus)
+
+
+def test_corpus_8_counts():
+    # every connected graph on 8 vertices, one sorted line per isomorphism
+    # class (scripts/gen_corpus.py writes canonical forms; this test does
+    # not recompute them)
+    lines = (DATA_DIR / "connected_8.g6").read_text().splitlines()
+    assert len(set(lines)) == len(lines) == 11117
+    assert lines == sorted(lines)
+    for line in lines:
+        g = parse_graph6(line)
+        assert g.n == 8 and g.is_connected()
 
 
 @given(connected_graphs(max_n=9))

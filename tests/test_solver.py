@@ -301,6 +301,19 @@ def test_non_extremal_atom_must_disconnect(monkeypatch):
         solve(Graph(4, [(0, 1), (1, 2), (2, 3)]))
 
 
+def test_merged_member_of_type_3_is_an_invariant_violation(monkeypatch):
+    # a merged interior is never of type 3 (see _apply_merge_choice); made
+    # to read as one, THETA7's merge must raise rather than take it all
+    classify = solver.classify_type
+
+    def merged_as_type3(g, interior):
+        return TYPE3 if interior == (1 << g.n) - 1 else classify(g, interior)
+
+    monkeypatch.setattr(solver, "classify_type", merged_as_type3)
+    with pytest.raises(SolverInvariantError, match="type 3"):
+        solve(theta7())
+
+
 def test_rule_census_on_corpus(corpus):
     # how often each (phase, rule) fires over every connected graph with
     # n <= 7; a rule that yields its picks in another order, or a fallback
@@ -335,11 +348,19 @@ def test_rule_census_on_corpus(corpus):
         ("Hh{HPOJ", (TYPE1, 1), "carried-weak"),
         # the strong rungs and choice_2-weak find no candidate
         ("GN{Pa_", (TYPE1, 0), "choice_3-weak"),
+        # choice_1 no longer yields the carried pick on the merged member,
+        # so the pick is dropped and a new one taken
+        ("G?Cn|s", (TYPE1, 1), "reselected"),
+        # the strong rungs find no candidate and the weak choice_2 does
+        ("H??^{fY", (TYPE1, 0), "choice_2-weak"),
     ],
 )
 def test_weak_merge_rungs_fire(text, merge, label):
-    # the smallest graphs known to reach these two rungs, outside the n <= 7
-    # corpus; the hull and every minimum hull set still match brute force
+    # graphs outside the n <= 7 corpus that reach these rungs; over every
+    # one-vertex extension of the connected graphs on up to 8 vertices, no
+    # graph with n <= 7 fires reselected and none with n <= 8 fires
+    # choice_2-weak, so those two are of the least order; the hull and
+    # every minimum hull set still match brute force
     g = parse_graph6(text)
     r = solve(g)
     fired = [
