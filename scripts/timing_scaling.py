@@ -2,19 +2,20 @@
 """Wall-clock scaling of the hull solver.
 
 By default, times the full pipeline (decomposition, primality, selection)
-on connected gnp graphs at a fixed edge probability across a grid of sizes
-and prints the growth ratio between consecutive sizes.  The solver is
-quartic in the worst case; on sparse random inputs the prime fast path
-dominates.
+on connected gnp graphs at a fixed edge probability across a grid of sizes.
+The solver is quartic in the worst case; on sparse random inputs the prime
+fast path dominates.
 
   python scripts/timing_scaling.py --sizes 50,100,200,400 --p 0.1
 
 With ``--families``, times ``solve`` on the five reducible families of
 ``perfbench/families.py`` (tree, caterpillar, cactus, 2-tree and chain of
 prime blocks), each graph drawn from ``random.Random(SEED)`` and relabelled
-by ``families.edge_text`` as the benchmark does, and prints for each size
-after the first the growth exponent log(t2 / t1) / log(n2 / n1) against
-the size before it; on a doubling grid that is log2 of the time ratio.
+by ``families.edge_text`` as the benchmark does.
+
+Both modes print for each size after the first the growth exponent
+log(t2 / t1) / log(n2 / n1) against the size before it; on a doubling grid
+that is log2 of the time ratio.
 
   python scripts/timing_scaling.py --families --sizes 150,300,600,1200,2400 --repeats 1
 """
@@ -55,17 +56,26 @@ def best_time(g, repeats: int):
     return best, result
 
 
+def growth(previous, n: int, best: float) -> str:
+    """The exponent against the (size, time) before, or "" for the first
+    size."""
+    if previous is None:
+        return ""
+    n0, t0 = previous
+    return f" exponent={math.log(best / t0) / math.log(n / n0):5.2f}"
+
+
 def run_gnp(sizes, p: float, repeats: int) -> None:
     previous = None
     for n in sizes:
         g, seed = connected_gnp(n, p)
         best, result = best_time(g, repeats)
-        ratio = "" if previous is None else f" x{best / previous:.1f}"
         print(
             f"n={n:5d} m={g.m:6d} seed={seed} prime={result.prime} "
-            f"hull={result.hull_number} time={best * 1000:9.2f}ms{ratio}"
+            f"hull={result.hull_number} time={best * 1000:9.2f}ms"
+            f"{growth(previous, n, best)}"
         )
-        previous = best
+        previous = n, best
 
 
 def run_families(sizes, repeats: int) -> None:
@@ -78,13 +88,9 @@ def run_families(sizes, repeats: int) -> None:
             rng = random.Random(SEED)
             g = parse_graph(families.edge_text(n, make(n, rng), rng), "edge-list")
             best, result = best_time(g, repeats)
-            growth = ""
-            if previous is not None:
-                n0, t0 = previous
-                growth = f" exponent={math.log(best / t0) / math.log(n / n0):5.2f}"
             print(
                 f"{name:12s} n={n:5d} m={g.m:6d} hull={result.hull_number:5d} "
-                f"time={best * 1000:10.1f}ms{growth}",
+                f"time={best * 1000:10.1f}ms{growth(previous, n, best)}",
                 flush=True,
             )
             previous = n, best

@@ -27,6 +27,16 @@ vertices are unnumbered and lighter than u; each such u gains v in
 madj(u).  Vertex sets are int masks on the graph's ``IntervalKernel``,
 and the reach search floods the unnumbered vertices one weight level at a
 time, lightest first, skipping the weights no unnumbered vertex has.
+
+The flood at level w decides nothing at w itself: it only grows the set
+seen from v, the vertices next to v or to a flooded vertex, which decides
+the hits at the heavier levels.  A heavier vertex once seen is next to v
+or to a flooded vertex lighter than itself, so it is hit whatever the
+walk floods later.  The walk therefore floods only while some unnumbered
+vertex heavier than w is not yet seen, each flood stops as soon as all
+of them are, and from then on each heavier level is reached whole.  At
+the heaviest level nothing is heavier, so its flood is skipped.  Both
+stops give the hits of the full walk.
 """
 from __future__ import annotations
 
@@ -72,19 +82,28 @@ def _mcs_m(k: IntervalKernel) -> tuple[list[int], list[int]]:
 
         # at weight w, the reached vertices of weight w are those next to v
         # or to the flood of lighter vertices; the flood then spreads
-        # through every unnumbered vertex of weight at most w
+        # through the unnumbered vertices of weight at most w until it
+        # sees the heavier vertices missed so far, the only ones it can
+        # still turn into hits
         seen = adj[v]
         flooded = lighter = 0
         reached = []
         for w in _members(occupied):
             lighter |= level[w]
+            heavier = unnumbered & ~lighter
             hit = seen & level[w]
             if hit:
                 reached.append((w, hit))
-                comp, touched = k.flood(lighter & ~flooded, hit)
-                flooded |= comp
-                seen |= touched
-            if not seen & unnumbered & ~lighter:
+                if heavier & ~seen:
+                    comp, touched = k.flood(lighter & ~flooded, hit, heavier & ~seen)
+                    flooded |= comp
+                    seen |= touched
+            if not heavier & ~seen:
+                # every heavier vertex is seen, so each heavier level is
+                # reached whole, and the partial flood is never read again
+                reached += [(u, level[u]) for u in _members(occupied & -(2 << w))]
+                break
+            if not heavier & seen:
                 break
         updated = 0
         for w, hit in reversed(reached):

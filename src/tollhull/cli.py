@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -279,6 +280,8 @@ def _verify_jobs(text: str, fmt: str, name: str | None) -> list[tuple[str, Graph
 
 
 def _cmd_verify(args) -> int:
+    if args.jobs < 0:
+        raise GraphError(f"--jobs must not be negative, got {args.jobs}")
     path = Path(args.file) if args.file != "-" else None
     out = _Emitter("verify", None, args)
     if path is not None and path.is_dir():
@@ -311,8 +314,16 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
+def _pool_size(jobs: int, graphs: int, cpus: int | None) -> int:
+    """Worker processes for a verify sweep: no more than asked for, than
+    graphs to check or than the machine has cores (an unknown count reads
+    as one).  A size of 1 or less runs the sweep in this process."""
+    return min(jobs, graphs, cpus or 1)
+
+
 def _run_verify_jobs(jobs, workers):
-    if workers and workers > 1 and len(jobs) > 1:
+    workers = _pool_size(workers, len(jobs), os.cpu_count())
+    if workers > 1:
         import multiprocessing as mp
 
         with mp.Pool(workers) as pool:

@@ -104,9 +104,16 @@ class IntervalKernel:
         return comp, touched
 
     def clique(self, mask: int) -> bool:
-        """Every two vertices of the mask are adjacent."""
+        """Every two vertices of the mask are adjacent.  Each vertex is
+        checked against the later ones, so the walk stops at the first
+        vertex with a non-neighbour among them."""
         adj = self.adj
-        return all(mask & ~adj[v] == 1 << v for v in _members(mask))
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            if mask & ~adj[low.bit_length() - 1]:
+                return False
+        return True
 
     def border(self, mask: int) -> int:
         """The vertices of the mask with a neighbour outside it; the rest of

@@ -94,11 +94,14 @@ def enumerate_min_hull_sets(
 
     Emission order is the lexicographic product order of the per-block
     options.  Every candidate is checked to have the right cardinality and a
-    full hull before being emitted.
+    full hull before being emitted.  A limit of 0 emits nothing, and a
+    negative limit raises ``GraphError``.
     """
     if not g.is_connected():
         raise GraphError("enumeration requires a connected graph")
-    if limit is not None and limit <= 0:
+    if limit is not None and limit < 0:
+        raise GraphError(f"enumeration limit must not be negative, got {limit}")
+    if limit == 0:
         return
     result = solve(g)
     emitted = 0

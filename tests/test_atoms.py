@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import connected_graphs, vids
-from tollhull.atoms import atoms, extremal_atoms, is_prime
+from tollhull.atoms import _mcs_m, atoms, extremal_atoms, is_prime
+from tollhull.convexity import interval_kernel
 from tollhull.graph import Graph, GraphError, c5, g12, generate, k4, theta7
 from tollhull.oracles import bf_atoms, bf_is_prime
 
@@ -142,3 +143,76 @@ def test_non_extremal_atoms_disconnect(g):
 @settings(max_examples=50)
 def test_primality_matches_bruteforce(g):
     assert is_prime(g) == bf_is_prime(g)
+
+
+def mcs_m_by_definition(g: Graph) -> tuple[list[int], list[int]]:
+    """MCS-M as Berry, Blair, Heggernes & Peyton state it, on plain sets.
+
+    Number the heaviest unnumbered vertex v, the least one on a tie; then
+    raise the weight of each unnumbered u that a path from v reaches
+    through unnumbered vertices lighter than u only, and add v to madj(u).
+    Returns (order, madj) in the shape ``_mcs_m`` returns them.
+    """
+    weight = [0] * g.n
+    unnumbered = set(range(g.n))
+    order = [0] * (g.n + 1)
+    madj = [0] * g.n
+    for i in range(g.n, 0, -1):
+        v = min(unnumbered, key=lambda u: (-weight[u], u))
+        order[i] = v
+        unnumbered.remove(v)
+        # ends[w]: the vertices next to v or to the part of G - (numbered
+        # vertices) reached from v through vertices lighter than w
+        ends: dict[int, set[int]] = {}
+        raised = []
+        for u in unnumbered:
+            w = weight[u]
+            if w not in ends:
+                inner = {x for x in unnumbered if weight[x] < w}
+                ends[w] = _path_ends(g, v, inner)
+            if u in ends[w]:
+                raised.append(u)
+        for u in raised:
+            weight[u] += 1
+            madj[u] |= 1 << v
+    return order, madj
+
+
+def _path_ends(g: Graph, v: int, inner: set[int]) -> set[int]:
+    """The vertices that end a path from v whose inner vertices lie in
+    inner."""
+    ends, stack, seen = set(), [v], {v}
+    while stack:
+        x = stack.pop()
+        for y in g.adj[x]:
+            ends.add(y)
+            if y in inner and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return ends
+
+
+def assert_mcs_m_matches_definition(g: Graph) -> None:
+    assert _mcs_m(interval_kernel(g)) == mcs_m_by_definition(g), g.edges()
+
+
+def test_mcs_m_matches_definition_on_corpus(corpus):
+    for g in corpus:
+        assert_mcs_m_matches_definition(g)
+
+
+@given(connected_graphs(max_n=12))
+@settings(max_examples=80)
+def test_mcs_m_matches_definition(g):
+    assert_mcs_m_matches_definition(g)
+
+
+@pytest.mark.parametrize("p", [0.1, 0.3])
+@pytest.mark.parametrize("n", [60, 90, 120])
+def test_mcs_m_matches_definition_on_gnp(n, p):
+    # the atoms are the same for every minimal ordering, so comparing them
+    # with bf_atoms cannot see an ordering that changed; this can
+    seed = 0
+    while not (g := generate("gnp", n, p, seed=seed)).is_connected():
+        seed += 1
+    assert_mcs_m_matches_definition(g)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from tollhull.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USER, run
+from tollhull.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USER, _pool_size, run
 from tollhull.graph import g12, theta7, to_edge_list, to_graph6
 
 
@@ -84,6 +84,31 @@ def test_enumerate_streams_json_lines(theta_file, capsys):
     assert len(lines) == 2
     for line in lines:
         assert isinstance(json.loads(line), list)
+
+
+def test_enumerate_negative_limit_is_user_error(theta_file, capsys):
+    assert run(["enumerate", theta_file, "--limit", "-1"]) == EXIT_USER
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "negative" in captured.err
+
+
+def test_verify_negative_jobs_is_user_error(theta_file, capsys):
+    assert run(["verify", theta_file, "--jobs", "-1"]) == EXIT_USER
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--jobs" in captured.err
+
+
+def test_verify_pool_size():
+    # the pool never outgrows the request, the graphs or the cores
+    assert _pool_size(2, 5, 8) == 2
+    assert _pool_size(64, 3, 8) == 3
+    assert _pool_size(10**9, 10**6, 4) == 4
+    assert _pool_size(4, 10, None) == 1
+    assert _pool_size(1, 10, 8) == 1
+    assert _pool_size(0, 10, 8) == 0
+    assert _pool_size(4, 0, 8) == 0
 
 
 def test_verify_fixture(theta_file, capsys):

@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 from conftest import connected_graphs, vid, vids
 from tollhull import solver
 from tollhull.convexity import (
+    _mask_of,
     _members,
     extreme_vertices,
     fast_concavity_test,
+    interval_kernel,
     interval_of_set,
     is_t_concave,
     is_t_convex,
@@ -125,6 +127,29 @@ def test_fast_concavity_preconditions():
     for bad in (99, -1):
         with pytest.raises(GraphError):
             fast_concavity_test(g, {0, bad})
+
+
+@pytest.mark.parametrize("n, base", [(4, 0), (70, 66)])
+def test_clique_mask(n, base):
+    # K4 on base..base+3, missing the edge between its two highest vertices
+    # in the second graph; base 66 puts the four above bit 64
+    a, b, c, d = range(base, base + 4)
+    k4_edges = [(a, b), (a, c), (a, d), (b, c), (b, d), (c, d)]
+    path = [(v, v + 1) for v in range(base)]
+    whole = interval_kernel(Graph(n, path + k4_edges))
+    holed = interval_kernel(Graph(n, path + k4_edges[:-1]))
+    four = _mask_of((a, b, c, d))
+    for k in (whole, holed):
+        assert k.clique(0)
+        assert k.clique(1 << d)
+        assert k.clique(_mask_of((a, b, c)))
+    assert whole.clique(four)
+    assert not holed.clique(four)
+    assert holed.clique(_mask_of((a, b, d)))
+    assert not holed.clique(_mask_of((c, d)))
+    if base:
+        # a non-edge far below the clique is still seen
+        assert not whole.clique(four | 1)
 
 
 @given(connected_graphs(max_n=7))

@@ -74,6 +74,8 @@ def test_limit_and_errors():
     assert len(list(enumerate_min_hull_sets(g, limit=1))) == 1
     with pytest.raises(GraphError):
         list(enumerate_min_hull_sets(Graph(4, [(0, 1), (2, 3)])))
+    with pytest.raises(GraphError, match="negative"):
+        list(enumerate_min_hull_sets(g, limit=-1))
 
 
 def test_stream_has_no_duplicates_small(small_corpus):
