@@ -10,6 +10,10 @@ Two modes, combinable:
                      vertices (hull number, closure, all-pairs interval,
                      extreme-vertex, atom and enumeration agreement)
 
+Both modes also check, on every graph, that each non-extremal atom
+disconnects it (``Graph.components`` of the graph minus the atom), the
+fact the solver proves instead of checking.
+
 Enumeration is compared with ``bf_all_min_hull_sets`` on graphs with at
 most ``MAX_ENUM_N`` vertices; a minimum hull set the stream misses counts
 as a discrepancy.  Atoms are compared with ``bf_atoms`` on every corpus
@@ -87,6 +91,21 @@ def atoms_mismatch(g: Graph) -> bool:
     return False
 
 
+def non_extremal_connected(g: Graph) -> int:
+    """The non-extremal atoms whose removal leaves the graph connected."""
+    dec = atoms(g)
+    if len(dec.atoms) < 2:
+        return 0
+    bad = 0
+    for atom, extremal in zip(dec.atoms, dec.extremal_flags):
+        if not extremal and len(g.components(atom)) < 2:
+            print(
+                f"non-extremal atom {sorted(atom)} leaves {sorted(g.edges())} connected"
+            )
+            bad += 1
+    return bad
+
+
 def enumeration_incomplete(g: Graph) -> bool:
     report = compare_with_bruteforce(g)
     if not report.complete:
@@ -115,6 +134,7 @@ def sweep_corpus(path: str) -> int:
     started = time.perf_counter()
     for g in graphs:
         bad += interval_mismatches(g) + hull_mismatch(g, rules) + atoms_mismatch(g)
+        bad += non_extremal_connected(g)
         if g.n <= MAX_ENUM_N:
             incomplete = enumeration_incomplete(g)
             enumerations["incomplete" if incomplete else "complete"] += 1
@@ -145,6 +165,7 @@ def sweep_random(count: int, max_n: int, seed: int) -> int:
             continue
         checked += 1
         bad += interval_mismatches(g) + hull_mismatch(g, rules)
+        bad += non_extremal_connected(g)
         if n <= MAX_ATOMS_N:
             bad += atoms_mismatch(g)
         if n <= MAX_ENUM_N:

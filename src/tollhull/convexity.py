@@ -292,9 +292,20 @@ def _simplicial_mask(k: IntervalKernel) -> int:
 
 
 def is_toll_extreme(g: Graph, v: int) -> bool:
-    """{v} is t-concave: v lies in no toll interval of two other vertices."""
+    """{v} is t-concave: v lies in no toll interval of two other vertices.
+
+    A non-simplicial v is not extreme (see ``_simplicial_mask``).  For a
+    simplicial v one kernel scan decides: no end x in N(v) can reach v,
+    since N(v) lies in N[x] and so deleting N[x] - {v} isolates v.  Every
+    pair whose interval holds v therefore lies outside N[v], in which v is
+    an interior vertex, and ``IntervalKernel.concavity_witness`` on the
+    block N[v] tries exactly those pairs.
+    """
     g._check_vertex(v)
-    return v in extreme_vertices(g)
+    _require_connected(g)
+    k = interval_kernel(g)
+    nb = k.adj[v]
+    return k.clique(nb) and not k.concavity_witness(nb | 1 << v, v)
 
 
 def extreme_vertices(g: Graph) -> frozenset[int]:

@@ -300,13 +300,20 @@ def parse_graph6_file(text: str) -> list[Graph]:
 
 
 def parse_graph(text: str, fmt: str = "edge-list") -> Graph:
-    """Parse a single graph in the declared format."""
+    """Parse a single graph in the declared format.  A graph6 text holding
+    more than one graph is an error; ``parse_graph6_file`` (and the
+    ``verify`` command) read one graph per line."""
     if fmt == "edge-list":
         return parse_edge_list(text)
     if fmt == "graph6":
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ParseError("empty graph6 input")
+        if len(lines) > 1:
+            raise ParseError(
+                f"graph6 input holds {len(lines)} graphs, expected one; "
+                "use `tollhull verify` to sweep several"
+            )
         return parse_graph6(lines[0])
     raise GraphError(f"unknown format {fmt!r}")
 

@@ -28,6 +28,10 @@ the merged member, so each absorbed interior lies in the merged interior.
 A witness of an absorbed member with neither end in the merged interior
 therefore refutes the merged member too, and is tried before any test.
 
+Non-extremal atoms are not re-checked at run time: that each of them
+disconnects the graph is proved in ``_solve_reducible``, and the tier-1
+tests and ``oracle_sweep.py`` check it on every graph they sweep.
+
 The t-concave interiors left in the family at the end form a family of
 pairwise disjoint concave sets whose granularities add up to the hull
 number; the type-3 members are exactly the toll extreme vertices.
@@ -409,9 +413,35 @@ def solve(g: Graph) -> HullResult:
 
 
 def _solve_reducible(g: Graph, dec: AtomDecomposition) -> HullResult:
-    k = interval_kernel(g)
     trace: list[dict] = []
     f_index, m_index = _Index(g.n), _Index(g.n)
+    # A non-extremal atom A disconnects G, so it is not re-checked here.
+    # Atoms are the maximal prime vertex sets (Berry, Pogorelcnik & Simonet
+    # 2010), and the argument uses three facts:
+    # (a) a prime set P meets at most one component of G - T for a clique
+    #     T, else T & P is a clique separator of G[P];
+    # (b) for a component C of G - A, N(C) is a clique: for x, y in N(C)
+    #     non-adjacent, A plus the inner vertices of a chordless x-y path
+    #     through C would be prime (a clique cutting off a stretch of the
+    #     path holds the two path vertices next to it, which are not
+    #     adjacent), against A being maximal;
+    # (c) if K = V - A is connected and non-empty, and N(K) = A, then A is
+    #     not an atom.  In a least counterexample, G is not prime, so it
+    #     has a clique minimal separator S.  A lies in S plus one component
+    #     C1 of G - S by (a), and not in S alone, since a clique is prime
+    #     and A = S would leave G - A disconnected.  S - A is not empty:
+    #     else K, which holds another component C2, would be C2, and N(C2)
+    #     lies in S.  Then G[C1 | S] is a smaller counterexample: a walk in
+    #     K through another component leaves and re-enters it at adjacent
+    #     vertices of S - A, and each vertex of A keeps a neighbour off A
+    #     (a vertex of S - A, or its own neighbour in K).
+    # Now suppose G - A, not empty in a reducible graph, has one component
+    # K, and let S = N(K), a clique by (b).  If S = A, (c) contradicts A being an atom.  Otherwise every
+    # other atom B meets K, as no atom holds another, so B lies in K | S by
+    # (a), and A's shared part lies in S.  An atom P of G[K | S] holding S
+    # meets K by (c), and is an atom of G, since a prime superset meets K
+    # and lies in K | S by (a).  So P holds A's shared part, and A is
+    # extremal.  The tier-1 tests and scripts/oracle_sweep.py check it.
     for seq, (atom, flag) in enumerate(zip(dec.atoms, dec.extremal_flags)):
         mem = _member(g, _mask_of(atom), seq)
         if flag:
@@ -419,12 +449,6 @@ def _solve_reducible(g: Graph, dec: AtomDecomposition) -> HullResult:
             f_index.add(mem)
         else:
             m_index.add(mem)
-            # a non-extremal atom always disconnects the graph
-            rest = k.full & ~mem.mask
-            if not rest or k.connected(rest):
-                raise SolverInvariantError(
-                    "non-extremal atom fails to disconnect the graph"
-                )
     if len(f_index.members) < 2:
         raise SolverInvariantError("reducible graph with fewer than two extremal atoms")
 

@@ -1,3 +1,5 @@
+import importlib.util
+import random
 import sys
 from itertools import combinations
 from pathlib import Path
@@ -5,9 +7,16 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
-from tollhull.graph import Graph, g12, parse_graph6_file, theta7  # noqa: E402
+from tollhull.graph import (  # noqa: E402
+    Graph,
+    g12,
+    parse_graph,
+    parse_graph6_file,
+    theta7,
+)
 
 settings.register_profile(
     "default",
@@ -18,12 +27,35 @@ settings.load_profile("default")
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 CORPUS_PATH = DATA_DIR / "connected_le7.g6"
+CORPUS_8_PATH = DATA_DIR / "connected_8.g6"
 
 
 @pytest.fixture(scope="session")
 def corpus():
     """Every connected graph on up to 7 vertices, one per isomorphism class."""
     return parse_graph6_file(CORPUS_PATH.read_text())
+
+
+@pytest.fixture(scope="session")
+def corpus_8():
+    """Every connected graph on 8 vertices, one per isomorphism class."""
+    return parse_graph6_file(CORPUS_8_PATH.read_text())
+
+
+def family_graphs(sizes):
+    """The graphs of the five reducible benchmark families of
+    ``perfbench/families.py`` at each size and seeds 0-4, drawn as
+    ``scripts/timing_scaling.py`` draws them."""
+    path = ROOT / "perfbench" / "families.py"
+    spec = importlib.util.spec_from_file_location("families", path)
+    families = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(families)
+    for make in families.FAMILIES.values():
+        for n in sizes:
+            for seed in range(5):
+                rng = random.Random(seed)
+                text = families.edge_text(n, make(n, rng), rng)
+                yield parse_graph(text, "edge-list")
 
 
 @pytest.fixture(scope="session")

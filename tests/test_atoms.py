@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from conftest import connected_graphs, vids
+from conftest import connected_graphs, family_graphs, vids
 from tollhull.atoms import _mcs_m, atoms, extremal_atoms, is_prime
 from tollhull.convexity import interval_kernel
 from tollhull.graph import Graph, GraphError, c5, g12, generate, k4, theta7
@@ -128,15 +128,36 @@ def test_atoms_are_prime_and_maximal(g):
             assert not (bigger.is_connected() and bf_is_prime(bigger))
 
 
+def non_extremal_components(g: Graph) -> list[int]:
+    """For each non-extremal atom A of a reducible g, the number of
+    components of G - A, counted by the oracles' ``Graph.components``."""
+    dec = atoms(g)
+    if len(dec.atoms) < 2:
+        return []
+    return [
+        len(g.components(atom))
+        for atom, extremal in zip(dec.atoms, dec.extremal_flags)
+        if not extremal
+    ]
+
+
 @given(connected_graphs(max_n=8))
 @settings(max_examples=50)
 def test_non_extremal_atoms_disconnect(g):
-    dec = atoms(g)
-    if len(dec.atoms) < 2:
-        return
-    for atom, flag in zip(dec.atoms, dec.extremal_flags):
-        if not flag:
-            assert len(g.components(atom)) >= 2
+    assert all(c >= 2 for c in non_extremal_components(g))
+
+
+def test_non_extremal_atoms_disconnect_on_corpora(corpus, corpus_8):
+    # the solver proves this instead of checking it (see _solve_reducible);
+    # 563 such atoms come from n <= 7, 6,286 from n = 8 and 1,966 from the
+    # benchmark families at n = 8, 20, 60 and 150, seeds 0-4
+    graphs = corpus + corpus_8 + list(family_graphs((8, 20, 60, 150)))
+    counts = []
+    for g in graphs:
+        got = non_extremal_components(g)
+        assert all(c >= 2 for c in got), sorted(g.edges())
+        counts += got
+    assert len(counts) == 8815
 
 
 @given(connected_graphs(max_n=8))

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from conftest import CORPUS_PATH
 from tollhull.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USER, _pool_size, run
 from tollhull.graph import g12, theta7, to_edge_list, to_graph6
 
@@ -204,6 +205,13 @@ def test_user_errors(tmp_path, capsys):
     disc.write_text("a b\nc d\n")
     assert run(["hull", str(disc)]) == EXIT_USER
     capsys.readouterr()
+
+
+def test_hull_rejects_a_graph6_sweep_file(capsys):
+    assert run(["hull", str(CORPUS_PATH), "--input-format", "graph6"]) == EXIT_USER
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "holds 996 graphs" in captured.err and "verify" in captured.err
 
 
 def test_unknown_label_is_user_error(fig_file, capsys):

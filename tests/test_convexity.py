@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import connected_graphs, vid, vids
+from conftest import connected_graphs, family_graphs, vid, vids
 from tollhull import solver
 from tollhull.convexity import (
     _mask_of,
@@ -177,6 +177,14 @@ def test_extreme_vertices_match_bruteforce(g):
 def test_is_toll_extreme_matches_bruteforce(g):
     for v in range(g.n):
         assert is_toll_extreme(g, v) == bf_is_extreme(g, v)
+
+
+def test_is_toll_extreme_matches_extreme_vertices(corpus):
+    # one kernel scan per vertex against the all-pairs pass
+    graphs = corpus + list(family_graphs((20, 60)))
+    for g in graphs:
+        extreme = extreme_vertices(g)
+        assert {v for v in range(g.n) if is_toll_extreme(g, v)} == extreme
 
 
 def test_interval_kernel_dies_with_its_graph():

@@ -244,6 +244,13 @@ def test_parse_graph_dispatch():
         parse_graph("a b", "dot")
 
 
+def test_parse_graph_rejects_several_graph6_graphs():
+    # one graph per call: a sweep file is an error, not its first line
+    assert parse_graph("\nD?{\n\n", "graph6").n == 5
+    with pytest.raises(ParseError, match="holds 2 graphs.*verify"):
+        parse_graph("D?{\nBw\n", "graph6")
+
+
 def test_named_fixtures():
     assert fixture("G12").n == 12
     assert fixture("THETA7").n == 7

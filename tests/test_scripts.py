@@ -1,0 +1,30 @@
+import subprocess
+import sys
+
+from conftest import CORPUS_PATH, ROOT
+
+SWEEP = ROOT / "scripts" / "oracle_sweep.py"
+
+
+def sweep(*args):
+    return subprocess.run(
+        [sys.executable, str(SWEEP), *args],
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_oracle_sweep_random_smoke():
+    done = sweep("--random", "40", "--max-n", "7", "--seed", "1")
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "random: 40 graphs, 0 discrepancies" in done.stdout
+
+
+def test_oracle_sweep_corpus_smoke(tmp_path):
+    # the first 20 corpus lines hold five graphs with a non-extremal atom
+    # (the path CL among them); the last three are 7-vertex graphs
+    lines = CORPUS_PATH.read_text().splitlines()
+    corpus = tmp_path / "few.g6"
+    corpus.write_text("\n".join(lines[:20] + [""] + lines[-3:]) + "\n")
+    done = sweep("--corpus", str(corpus))
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "corpus: 23 graphs, 0 discrepancies" in done.stdout

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 
 from conftest import connected_graphs, random_trees, vid, vids
 from tollhull import solver
-from tollhull.atoms import AtomDecomposition
 from tollhull.convexity import extreme_vertices, is_t_concave, toll_hull, toll_interval
 from tollhull.enumeration import compare_with_bruteforce, enumerate_min_hull_sets
 from tollhull.graph import (
@@ -288,17 +287,6 @@ def test_family_invariants_reject_non_clique_overlap():
     other = solver._member(g, 0b111001, 0)
     with pytest.raises(SolverInvariantError, match="not a clique"):
         solver._check_family_invariants(g, new, [other])
-
-
-def test_non_extremal_atom_must_disconnect(monkeypatch):
-    # on the path 0-1-2-3 the end edge {0,1} leaves {2,3} connected
-    fake = AtomDecomposition(
-        atoms=(frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3})),
-        extremal_flags=(False, True, True),
-    )
-    monkeypatch.setattr(solver, "atoms", lambda g: fake)
-    with pytest.raises(SolverInvariantError, match="fails to disconnect"):
-        solve(Graph(4, [(0, 1), (1, 2), (2, 3)]))
 
 
 def test_merged_member_of_type_3_is_an_invariant_violation(monkeypatch):
