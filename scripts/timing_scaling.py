@@ -8,14 +8,19 @@ fast path dominates.
 
   python scripts/timing_scaling.py --sizes 50,100,200,400 --p 0.1
 
-With ``--families``, times ``solve`` on the five reducible families of
-``perfbench/families.py`` (tree, caterpillar, cactus, 2-tree and chain of
-prime blocks), each graph drawn from ``random.Random(SEED)`` and relabelled
-by ``families.edge_text`` as the benchmark does.
+With ``--families``, times ``solve`` and ``extreme_vertices`` on the five
+reducible families of ``perfbench/families.py`` (tree, caterpillar, cactus,
+2-tree and chain of prime blocks), each graph drawn from
+``random.Random(SEED)`` and relabelled by ``families.edge_text`` as the
+benchmark does.
 
-Both modes print for each size after the first the growth exponent
-log(t2 / t1) / log(n2 / n1) against the size before it; on a doubling grid
-that is log2 of the time ratio.
+Every repeat runs on a freshly built graph: a graph keeps the interval
+kernel of its first call, so a second call on it would time a warm kernel.
+
+Both modes print the best time of the repeats and, for each size after
+the first, the growth exponent log(t2 / t1) / log(n2 / n1) of the solve
+time against the size before it; on a doubling grid that is log2 of the
+time ratio.
 
   python scripts/timing_scaling.py --families --sizes 150,300,600,1200,2400 --repeats 1
 """
@@ -29,6 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from tollhull.convexity import extreme_vertices  # noqa: E402
 from tollhull.graph import generate, parse_graph  # noqa: E402
 from tollhull.solver import solve  # noqa: E402
 
@@ -44,13 +50,14 @@ def connected_gnp(n: int, p: float):
         seed += 1
 
 
-def best_time(g, repeats: int):
-    """The least wall time of ``repeats`` calls of ``solve(g)``, with the
-    last result."""
+def best_time(fresh, run, repeats: int):
+    """The least wall time of ``repeats`` calls of ``run(fresh())``, with
+    the last result.  Building the graph is not timed."""
     best = result = None
     for _ in range(repeats):
+        g = fresh()
         t0 = time.perf_counter()
-        result = solve(g)
+        result = run(g)
         elapsed = time.perf_counter() - t0
         best = elapsed if best is None else min(best, elapsed)
     return best, result
@@ -69,7 +76,7 @@ def run_gnp(sizes, p: float, repeats: int) -> None:
     previous = None
     for n in sizes:
         g, seed = connected_gnp(n, p)
-        best, result = best_time(g, repeats)
+        best, result = best_time(lambda: generate("gnp", n, p, seed=seed), solve, repeats)
         print(
             f"n={n:5d} m={g.m:6d} seed={seed} prime={result.prime} "
             f"hull={result.hull_number} time={best * 1000:9.2f}ms"
@@ -86,11 +93,17 @@ def run_families(sizes, repeats: int) -> None:
         previous = None
         for n in sizes:
             rng = random.Random(SEED)
-            g = parse_graph(families.edge_text(n, make(n, rng), rng), "edge-list")
-            best, result = best_time(g, repeats)
+            text = families.edge_text(n, make(n, rng), rng)
+
+            def fresh():
+                return parse_graph(text, "edge-list")
+
+            best, result = best_time(fresh, solve, repeats)
+            extreme, _ = best_time(fresh, extreme_vertices, repeats)
             print(
-                f"{name:12s} n={n:5d} m={g.m:6d} hull={result.hull_number:5d} "
-                f"time={best * 1000:10.1f}ms{growth(previous, n, best)}",
+                f"{name:12s} n={n:5d} m={fresh().m:6d} hull={result.hull_number:5d} "
+                f"time={best * 1000:10.1f}ms extreme={extreme * 1000:9.1f}ms"
+                f"{growth(previous, n, best)}",
                 flush=True,
             )
             previous = n, best

@@ -37,7 +37,7 @@ from .graph import (
     parse_graph6,
     to_edge_list,
 )
-from .oracles import MAX_ENUM_N, MAX_INTERVAL_N, bf_atoms, bf_hull_number
+from .oracles import MAX_ENUM_N, MAX_INTERVAL_N, bf_atoms, bf_extreme_vertices, bf_hull_number
 from .solver import SolverInvariantError, solve
 
 EXIT_OK = 0
@@ -257,6 +257,7 @@ def _verify_one(g: Graph) -> dict:
         report["enumeration_complete"] = enum_report.complete
         report["enumeration_count"] = len(enum_report.emitted)
         agree = agree and enum_report.complete
+        agree = agree and extreme_vertices(g) == bf_extreme_vertices(g)
     else:
         report["atoms_match"] = None
         report["enumeration_complete"] = None

@@ -161,11 +161,16 @@ class IntervalKernel:
         v0 must be an interior vertex of the block: it has no neighbour
         outside, so for outside u the side of u maps v0 to the component of
         G - N[u] holding it.  Pairs are tried by u, then by z, so the scan
-        stops at the first pair that holds v0.  When the block's border is a
-        clique and its interior connected, a pair exists exactly when the
-        interior is not t-concave (see ``fast_concavity_test``).
+        stops at the first pair that holds v0.  Once it has tried as many
+        pairs as there are outside vertices without a hit, ``_pair_exists``
+        decides in one pass whether any pair is left to find; if none is,
+        the answer is 0, and otherwise the scan goes on to the first one.
+        When the block's border is a clique and its interior connected, a
+        pair exists exactly when the interior is not t-concave (see
+        ``fast_concavity_test``).
         """
         outside = self.full & ~block
+        budget = outside.bit_count()
         for u in _members(outside):
             later = self.side(u)[v0] & outside & ~self.adj[u] & -(2 << u)
             while later:
@@ -173,7 +178,46 @@ class IntervalKernel:
                 if self.side(low.bit_length() - 1)[v0] >> u & 1:
                     return 1 << u | low
                 later ^= low
+                budget -= 1
+                if not budget and not self._pair_exists(outside, v0):
+                    return 0
         return 0
+
+    def _pair_exists(self, outside: int, v0: int) -> bool:
+        """Some non-adjacent pair of the ``outside`` mask has an interval
+        holding v0, which must have no neighbour in ``outside``.
+
+        For outside x let F(x) be the component of G - N[x] holding v0.
+        Take non-adjacent outside u and z.
+
+        1. v0 lies in [u,z] exactly when z is in F(u) and u in F(z), since
+           v0 is in neither N[u] nor N[z].
+        2. If z is not in F(u), then F(u) is within F(z).  Were some w of
+           F(u) outside F(z), a path from w to v0 within F(u) would meet
+           N[z], at some q other than z; then z, q and the rest of the
+           path reach v0 avoiding N[u], so z would be in F(u).
+        3. So {u,z} is a pair exactly when F(u) and F(z) are incomparable.
+           A pair cannot nest, since x is never in F(x).
+
+        The pass takes the outside vertices by |F(x)|, largest first, and
+        reports a pair as soon as some F(x) holds a vertex y taken before
+        x.  Then y is not adjacent to x; F(x) is not within F(y), which
+        misses y; and F(y) is not within F(x), being at least as large and
+        different.  So {x,y} is a pair.  Conversely every pair is caught
+        when its later member is taken.  The cost is one sort and
+        O(|outside|) mask operations, besides the sides not built yet.
+        """
+        reach = sorted(
+            ((self.side(x)[v0] & ~self.adj[x], x) for x in _members(outside)),
+            key=lambda fx: fx[0].bit_count(),
+            reverse=True,
+        )
+        taken = 0
+        for f, x in reach:
+            if f & taken:
+                return True
+            taken |= 1 << x
+        return False
 
 
 def interval_kernel(g: Graph) -> IntervalKernel:
@@ -285,46 +329,35 @@ def _convex(k: IntervalKernel, inside: int) -> bool:
     )
 
 
-def _simplicial_mask(k: IntervalKernel) -> int:
-    """Vertices whose neighbourhood is a clique.  Every other vertex v has
-    non-adjacent neighbours a and b, and the walk a v b puts v in [a,b]."""
-    return _mask_of(v for v, nb in enumerate(k.adj) if k.clique(nb))
-
-
 def is_toll_extreme(g: Graph, v: int) -> bool:
     """{v} is t-concave: v lies in no toll interval of two other vertices.
 
-    A non-simplicial v is not extreme (see ``_simplicial_mask``).  For a
-    simplicial v one kernel scan decides: no end x in N(v) can reach v,
-    since N(v) lies in N[x] and so deleting N[x] - {v} isolates v.  Every
-    pair whose interval holds v therefore lies outside N[v], in which v is
-    an interior vertex, and ``IntervalKernel.concavity_witness`` on the
-    block N[v] tries exactly those pairs.
+    The rule, which ``extreme_vertices`` applies to every vertex: v is
+    simplicial and no pair outside N[v] holds v.  A non-simplicial v has
+    non-adjacent neighbours a and b, and the walk a v b puts v in [a,b].
+    For a simplicial v no end x in N(v) can reach v, since N(v) lies in
+    N[x] and so deleting N[x] - {v} isolates v.  Every pair whose interval
+    holds v therefore lies outside N[v], in which v is an interior vertex,
+    and ``IntervalKernel.concavity_witness`` on the block N[v] looks for
+    exactly those pairs.
     """
     g._check_vertex(v)
     _require_connected(g)
-    k = interval_kernel(g)
-    nb = k.adj[v]
-    return k.clique(nb) and not k.concavity_witness(nb | 1 << v, v)
+    return _extreme(interval_kernel(g), v)
 
 
 def extreme_vertices(g: Graph) -> frozenset[int]:
-    """All toll extreme vertices.
-
-    Collected as the complement of the union of interval interiors over the
-    non-adjacent pairs, starting from the non-simplicial vertices and
-    stopping once every vertex is hit.
-    """
+    """All toll extreme vertices: the rule of ``is_toll_extreme``, asked
+    once per vertex."""
     _require_connected(g)
     k = interval_kernel(g)
-    hit = k.full & ~_simplicial_mask(k)
-    for x in range(g.n):
-        if hit == k.full:
-            break
-        sx = k.side(x)
-        for y in _members(k.full & ~k.adj[x] & -(2 << x)):
-            hit |= sx[y] & k.side(y)[x]
-    return frozenset(_members(k.full & ~hit))
+    return frozenset(v for v in range(g.n) if _extreme(k, v))
+
+
+def _extreme(k: IntervalKernel, v: int) -> bool:
+    """The rule of ``is_toll_extreme`` on the kernel."""
+    nb = k.adj[v]
+    return k.clique(nb) and not k.concavity_witness(nb | 1 << v, v)
 
 
 def fast_concavity_test(g: Graph, vertices) -> bool:
@@ -338,9 +371,12 @@ def fast_concavity_test(g: Graph, vertices) -> bool:
     single interior vertex v0 decides for all: the interior fails to be
     t-concave exactly when v0 lies in the interval of some non-adjacent
     u, z outside the block.  The answer is a bool view of
-    ``IntervalKernel.concavity_witness``, which looks for such a pair: at
-    most O(n^2) mask tests, plus O(n) mask operations to build the kernel
-    side of each outside vertex not built before.
+    ``IntervalKernel.concavity_witness``, which looks for such a pair.  A
+    concave verdict costs at most as many pair tests as there are outside
+    vertices and one sort with O(n) mask operations; a refuted one stops at
+    its first pair, after O(n^2) pair tests at worst.  Either adds O(n)
+    mask operations to build the kernel side of each outside vertex not
+    built before.
 
     A block outside that scope raises ``GraphError``, as does a vertex out
     of range.  The preconditions are checked on masks: the border with

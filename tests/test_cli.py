@@ -5,7 +5,7 @@ import pytest
 
 from conftest import CORPUS_PATH
 from tollhull.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USER, _pool_size, run
-from tollhull.graph import g12, theta7, to_edge_list, to_graph6
+from tollhull.graph import g12, star3, theta7, to_edge_list, to_graph6
 
 
 @pytest.fixture
@@ -138,8 +138,6 @@ def test_verify_directory(tmp_path, capsys):
 
 
 def test_verify_directory_parallel(tmp_path, capsys):
-    from tollhull.graph import star3
-
     (tmp_path / "a.txt").write_text(to_edge_list(theta7()))
     (tmp_path / "b.txt").write_text(to_edge_list(star3()))
     assert run(["verify", str(tmp_path), "--jobs", "2"]) == EXIT_OK
@@ -152,6 +150,22 @@ def test_verify_mismatch_exit(monkeypatch, theta_file, capsys):
     monkeypatch.setattr(cli, "bf_hull_number", lambda g: 99)
     assert run(["verify", theta_file]) == EXIT_MISMATCH
     assert "MISMATCH" in capsys.readouterr().out
+
+
+def test_verify_fails_on_dropped_extreme_vertex(monkeypatch, tmp_path, capsys):
+    import tollhull.cli as cli
+
+    real = cli.extreme_vertices
+    # the three leaves of the star are extreme; one of them goes missing
+    monkeypatch.setattr(cli, "extreme_vertices", lambda g: real(g) - {min(real(g))})
+    p = tmp_path / "star.txt"
+    p.write_text(to_edge_list(star3()))
+    assert run(["verify", str(p), "--format", "json"]) == EXIT_MISMATCH
+    doc = json.loads(capsys.readouterr().out)
+    (report,) = doc["result"]["reports"]
+    assert report["agreement"] is False
+    assert report["enumeration_complete"] and report["atoms_match"]
+    assert report["oracle_hull_number"] == report["solver_hull_number"]
 
 
 def test_verify_fails_on_incomplete_enumeration(monkeypatch, theta_file, capsys):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import connected_graphs, family_graphs, vid, vids
 from tollhull import solver
 from tollhull.convexity import (
+    IntervalKernel,
     _mask_of,
     _members,
     extreme_vertices,
@@ -21,7 +22,17 @@ from tollhull.convexity import (
     toll_hull,
     toll_interval,
 )
-from tollhull.graph import Graph, GraphError, c5, g12, generate, k4, star3, theta7
+from tollhull.graph import (
+    Graph,
+    GraphError,
+    c5,
+    g12,
+    generate,
+    k4,
+    parse_graph6,
+    star3,
+    theta7,
+)
 from tollhull.oracles import bf_extreme_vertices, bf_hull, bf_is_extreme, bf_toll_interval
 from tollhull.solver import solve
 
@@ -179,12 +190,23 @@ def test_is_toll_extreme_matches_bruteforce(g):
         assert is_toll_extreme(g, v) == bf_is_extreme(g, v)
 
 
-def test_is_toll_extreme_matches_extreme_vertices(corpus):
-    # one kernel scan per vertex against the all-pairs pass
+def _all_pairs_extreme(g):
+    """The extreme vertices as the complement of the union of interval
+    interiors over the non-adjacent pairs, starting from the non-simplicial
+    vertices: the reference for the per-vertex rule."""
+    k = interval_kernel(g)
+    hit = _mask_of(v for v in range(g.n) if not g.is_simplicial(v))
+    for x in range(g.n):
+        sx = k.side(x)
+        for y in _members(k.full & ~k.adj[x] & -(2 << x)):
+            hit |= sx[y] & k.side(y)[x]
+    return frozenset(_members(k.full & ~hit))
+
+
+def test_extreme_vertices_match_all_pairs_pass(corpus):
     graphs = corpus + list(family_graphs((20, 60)))
     for g in graphs:
-        extreme = extreme_vertices(g)
-        assert {v for v in range(g.n) if is_toll_extreme(g, v)} == extreme
+        assert extreme_vertices(g) == _all_pairs_extreme(g)
 
 
 def test_interval_kernel_dies_with_its_graph():
@@ -271,3 +293,80 @@ def test_component_all_or_none(g):
             for chunk in chunks:
                 hit = chunk & interval
                 assert not hit or chunk <= interval
+
+
+def _least_pair(k, block, v0):
+    """The pair scan of ``concavity_witness`` without its ordered pass: the
+    reference for the least non-adjacent outside pair whose interval holds
+    v0."""
+    outside = k.full & ~block
+    for u in _members(outside):
+        later = k.side(u)[v0] & outside & ~k.adj[u] & -(2 << u)
+        while later:
+            low = later & -later
+            if k.side(low.bit_length() - 1)[v0] >> u & 1:
+                return 1 << u | low
+            later ^= low
+    return 0
+
+
+def _simplicial_blocks(g):
+    """(N[v], v) for every simplicial vertex v."""
+    for v in range(g.n):
+        if g.is_simplicial(v):
+            yield _mask_of(g.adj[v]) | 1 << v, v
+
+
+def test_concavity_witness_is_least_pair(small_corpus, corpus_8):
+    cases = [
+        (g, _mask_of(f), v0)
+        for g in small_corpus
+        for f, interior in _qualifying_blocks(g)
+        for v0 in interior
+    ]
+    for g in corpus_8 + list(family_graphs((20, 60, 150))):
+        cases += [(g, block, v) for block, v in _simplicial_blocks(g)]
+    concave = 0
+    for g, block, v0 in cases:
+        k = interval_kernel(g)
+        got = k.concavity_witness(block, v0)
+        assert got == _least_pair(k, block, v0)
+        concave += not got
+    assert 0 < concave < len(cases)
+
+
+@pytest.mark.parametrize("g6, outcome", [("F??~w", False), ("G??X^{", True)])
+def test_ordered_pass_runs_with_both_outcomes(monkeypatch, g6, outcome):
+    # on F??~w (n <= 7 corpus) the pass finds no pair; on G??X^{
+    # (connected_8.g6) it finds one and the scan goes on to the least pair
+    pass_once = IntervalKernel._pair_exists
+    outcomes = []
+
+    def counted(self, outside, v0):
+        found = pass_once(self, outside, v0)
+        outcomes.append(found)
+        return found
+
+    monkeypatch.setattr(IntervalKernel, "_pair_exists", counted)
+    g = parse_graph6(g6)
+    assert solve(g).extreme_vertices == extreme_vertices(g) == bf_extreme_vertices(g)
+    assert outcome in outcomes
+    if not outcome:
+        assert not any(outcomes)
+
+
+def test_concavity_pair_iff_components_do_not_nest(corpus):
+    # for outside x, F(x) is the component of G - N[x] holding v0
+    for g in corpus:
+        for f, interior in _qualifying_blocks(g):
+            v0 = min(interior)
+            outside = sorted(set(range(g.n)) - f)
+            reach = {
+                x: next(c for c in g.components(g.adj[x] | {x}) if v0 in c)
+                for x in outside
+            }
+            for u, z in combinations(outside, 2):
+                if z in g.adj[u]:
+                    continue
+                nested = reach[u] <= reach[z] or reach[z] <= reach[u]
+                assert (v0 in toll_interval(g, u, z)) != nested
