@@ -190,6 +190,14 @@ def test_is_toll_extreme_matches_bruteforce(g):
         assert is_toll_extreme(g, v) == bf_is_extreme(g, v)
 
 
+def test_is_toll_extreme_matches_extreme_vertices(corpus):
+    # the single-vertex query against the whole-graph pass
+    graphs = corpus + list(family_graphs((20, 60)))
+    for g in graphs:
+        extreme = extreme_vertices(g)
+        assert {v for v in range(g.n) if is_toll_extreme(g, v)} == extreme
+
+
 def _all_pairs_extreme(g):
     """The extreme vertices as the complement of the union of interval
     interiors over the non-adjacent pairs, starting from the non-simplicial
