@@ -1,36 +1,30 @@
-#!/usr/bin/env python3
 """Sweep the solver against the brute-force oracles and report.
 
 Two modes, combinable:
 
-  --corpus FILE      every graph of a graph6 corpus (hull number, closure,
-                     all-pairs interval, extreme-vertex and atom agreement,
-                     enumeration census)
+  --corpus FILE      every graph of a graph6 corpus, with an enumeration
+                     census
   --random N         N seeded random connected graphs on up to --max-n
-                     vertices (hull number, closure, all-pairs interval,
-                     extreme-vertex, atom and enumeration agreement)
+                     vertices
 
-Both modes also check, on every graph, that each non-extremal atom
-disconnects it (``Graph.components`` of the graph minus the atom), the
-fact the solver proves instead of checking, and that the solver's
-extreme vertices are those of ``extreme_vertices``.
-
-Extreme vertices and enumeration are compared with ``bf_extreme_vertices``
-and ``bf_all_min_hull_sets`` on graphs with at most ``MAX_ENUM_N``
-vertices; a minimum hull set the stream misses counts as a discrepancy.
-Atoms are compared with ``bf_atoms`` on every corpus graph and on random
-graphs with at most ``MAX_ATOMS_N`` vertices.
-
-The closure of the solver's hull set is checked with the brute-force
-``bf_hull``, not with the production ``toll_hull``.
+Every graph runs the checks of ``tollhull verify``, from the one function
+``tollhull.cli.check``, on the solver's result: the closure of the hull
+set (``bf_hull`` up to 12 vertices, ``toll_hull`` above), the hull number
+and every pair's toll interval against brute force up to 12 vertices;
+atoms, the enumeration stream and ``extreme_vertices`` against brute force
+up to 9; and at any size, that the solver's extreme vertices are those of
+``extreme_vertices`` and that each non-extremal atom disconnects the
+graph, the fact the solver proves instead of checking.  A graph that
+fails prints ``mismatch on <edges>: <names>``, one name per failed check,
+and each failed check counts as one discrepancy.
 
 At the end of each mode the sweep prints its rule census: how often each
 selection rule fired in the solver's trace, by phase (``initial`` or
 ``merge``), the member's type, for a merge k (how many absorbed members
 were already t-concave), and rule label.
 
-The corpus mode takes about 12 s on ``tests/data/connected_le7.g6`` (one
-core, Python 3.11).
+On one core (Python 3.11) the corpus mode takes about 8 s on
+``tests/data/connected_le7.g6`` and ``--random 10000`` about 2 minutes.
 
 Exits non-zero on any discrepancy.  Typical use:
 
@@ -47,92 +41,24 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from tollhull.atoms import atoms  # noqa: E402
-from tollhull.convexity import extreme_vertices, toll_interval  # noqa: E402
-from tollhull.enumeration import compare_with_bruteforce  # noqa: E402
+from tollhull.cli import check  # noqa: E402
 from tollhull.graph import Graph, parse_graph6_file  # noqa: E402
-from tollhull.oracles import (  # noqa: E402
-    MAX_ENUM_N,
-    bf_atoms,
-    bf_extreme_vertices,
-    bf_hull,
-    bf_hull_number,
-    bf_toll_interval,
-)
 from tollhull.solver import solve  # noqa: E402
 
-# bf_atoms costs about 31 ms a graph at n=9
-MAX_ATOMS_N = 8
 
-
-def interval_mismatches(g: Graph) -> int:
-    bad = 0
-    for x, y in itertools.combinations(range(g.n), 2):
-        if toll_interval(g, x, y) != bf_toll_interval(g, x, y):
-            print(f"interval mismatch on {sorted(g.edges())} at ({x},{y})")
-            bad += 1
-    return bad
-
-
-def hull_mismatch(g: Graph, r, rules: Counter) -> bool:
-    """The solver's result ``r`` has a hull number or closure that
-    disagrees with brute force; the rules that fired in its trace are
-    counted into ``rules``."""
+def sweep_one(g: Graph, rules: Counter) -> dict:
+    """Solve ``g``, count the rules that fired in its trace into ``rules``,
+    and return the ``check`` report, printing the checks that failed."""
+    r = solve(g)
     rules.update(
         (e["phase"], e["type"], e.get("k"), e["choice"])
         for e in r.trace if e.get("choice") is not None
     )
-    want = bf_hull_number(g)
-    if r.hull_number != want or bf_hull(g, r.hull_set) != frozenset(range(g.n)):
-        print(f"hull mismatch on {sorted(g.edges())}: {r.hull_number} vs {want}")
-        return True
-    return False
-
-
-def extreme_mismatches(g: Graph, r) -> int:
-    """``extreme_vertices`` disagrees with the solver's result ``r`` and,
-    up to ``MAX_ENUM_N`` vertices, with brute force."""
-    got = extreme_vertices(g)
-    bad = 0
-    if r.extreme_vertices != got:
-        print(f"solver extreme mismatch on {sorted(g.edges())}")
-        bad += 1
-    if g.n <= MAX_ENUM_N and got != bf_extreme_vertices(g):
-        print(f"extreme mismatch on {sorted(g.edges())}")
-        bad += 1
-    return bad
-
-
-def atoms_mismatch(g: Graph) -> bool:
-    if list(atoms(g).atoms) != bf_atoms(g):
-        print(f"atoms mismatch on {sorted(g.edges())}")
-        return True
-    return False
-
-
-def non_extremal_connected(g: Graph) -> int:
-    """The non-extremal atoms whose removal leaves the graph connected."""
-    dec = atoms(g)
-    if len(dec.atoms) < 2:
-        return 0
-    bad = 0
-    for atom, extremal in zip(dec.atoms, dec.extremal_flags):
-        if not extremal and len(g.components(atom)) < 2:
-            print(
-                f"non-extremal atom {sorted(atom)} leaves {sorted(g.edges())} connected"
-            )
-            bad += 1
-    return bad
-
-
-def enumeration_incomplete(g: Graph) -> bool:
-    report = compare_with_bruteforce(g)
-    if not report.complete:
-        print(
-            f"enumeration misses {len(report.missing)} of "
-            f"{len(report.reference)} sets on {sorted(g.edges())}"
-        )
-    return not report.complete
+    report = check(g, r)
+    if not report["agreement"]:
+        names = ", ".join(report["mismatches"])
+        print(f"mismatch on {sorted(g.edges())}: {names}")
+    return report
 
 
 def print_census(rules: Counter) -> None:
@@ -152,13 +78,11 @@ def sweep_corpus(path: str) -> int:
     rules: Counter = Counter()
     started = time.perf_counter()
     for g in graphs:
-        r = solve(g)
-        bad += interval_mismatches(g) + hull_mismatch(g, r, rules) + atoms_mismatch(g)
-        bad += extreme_mismatches(g, r) + non_extremal_connected(g)
-        if g.n <= MAX_ENUM_N:
-            incomplete = enumeration_incomplete(g)
-            enumerations["incomplete" if incomplete else "complete"] += 1
-            bad += incomplete
+        report = sweep_one(g, rules)
+        bad += len(report.get("mismatches", ()))
+        if report["enumeration_complete"] is not None:
+            state = "complete" if report["enumeration_complete"] else "incomplete"
+            enumerations[state] += 1
     elapsed = time.perf_counter() - started
     print(
         f"corpus: {len(graphs)} graphs, {bad} discrepancies, "
@@ -184,13 +108,7 @@ def sweep_random(count: int, max_n: int, seed: int) -> int:
         if not g.is_connected():
             continue
         checked += 1
-        r = solve(g)
-        bad += interval_mismatches(g) + hull_mismatch(g, r, rules)
-        bad += extreme_mismatches(g, r) + non_extremal_connected(g)
-        if n <= MAX_ATOMS_N:
-            bad += atoms_mismatch(g)
-        if n <= MAX_ENUM_N:
-            bad += enumeration_incomplete(g)
+        bad += len(sweep_one(g, rules).get("mismatches", ()))
     elapsed = time.perf_counter() - started
     print(f"random: {checked} graphs, {bad} discrepancies, {elapsed:.1f}s")
     print_census(rules)

@@ -37,8 +37,16 @@ from .graph import (
     parse_graph6,
     to_edge_list,
 )
-from .oracles import MAX_ENUM_N, MAX_INTERVAL_N, bf_atoms, bf_extreme_vertices, bf_hull_number
-from .solver import SolverInvariantError, solve
+from .oracles import (
+    MAX_ENUM_N,
+    MAX_INTERVAL_N,
+    bf_all_intervals,
+    bf_atoms,
+    bf_extreme_vertices,
+    bf_hull,
+    bf_hull_number,
+)
+from .solver import HullResult, SolverInvariantError, solve
 
 EXIT_OK = 0
 EXIT_USER = 1
@@ -219,6 +227,7 @@ def _cmd_extreme(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     g = _load_graph(args.file, args.input_format)
+    out = _Emitter("enumerate", g, args)
     sets = []
     for s in enumerate_min_hull_sets(g, limit=args.limit):
         if args.format == "text":
@@ -226,43 +235,80 @@ def _cmd_enumerate(args) -> int:
         else:
             sets.append(_labels(g, s))
     if args.format == "json":
-        out = _Emitter("enumerate", g, args)
         out.payload = {"sets": sets, "count": len(sets)}
-        out.emit()
+    out.emit()
     return EXIT_OK
 
 
-def _verify_one(g: Graph) -> dict:
-    result = solve(g)
-    closure_ok = toll_hull(g, result.hull_set) == frozenset(range(g.n))
+def check(g: Graph, result: HullResult) -> dict:
+    """Cross-check the solver's ``result`` on ``g`` with every oracle the
+    graph's size allows, and return its ``verify`` report.
+
+    The checks, by the name a failing report lists under ``mismatches``:
+
+      closure         the hull set's closure is V, by ``bf_hull`` up to
+                      ``MAX_INTERVAL_N`` vertices and ``toll_hull`` above
+      hull_number     the hull number is ``bf_hull_number``'s (n <= 12)
+      intervals       ``toll_interval`` is ``bf_toll_interval`` on every
+                      pair (n <= 12)
+      atoms           ``atoms`` is ``bf_atoms`` (n <= ``MAX_ENUM_N``, 9)
+      enumeration     the stream emits every minimum hull set (n <= 9)
+      oracle_extreme  ``extreme_vertices`` is ``bf_extreme_vertices``
+                      (n <= 9)
+      extreme         the result's extreme vertices are
+                      ``extreme_vertices``'s (any n)
+      separation      G minus each non-extremal atom falls apart, the fact
+                      the solver proves instead of checking (any n)
+
+    ``agreement`` is true exactly when no check failed.
+    """
+    dec, ext = atoms(g), extreme_vertices(g)
+    small = g.n <= MAX_INTERVAL_N
+    closure = (bf_hull if small else toll_hull)(g, result.hull_set)
+    passed = {"closure": closure == frozenset(range(g.n))}
     report: dict = {
         "n": g.n,
         "solver_hull_number": result.hull_number,
-        "closure_ok": closure_ok,
+        "closure_ok": passed["closure"],
     }
-    agree = closure_ok
-    if g.n <= MAX_INTERVAL_N:
+    if small:
         oracle = bf_hull_number(g)
         report["oracle_hull_number"] = oracle
-        agree = agree and oracle == result.hull_number
+        passed["hull_number"] = oracle == result.hull_number
+        passed["intervals"] = all(
+            toll_interval(g, x, y) == iv
+            for (x, y), iv in bf_all_intervals(g).items()
+        )
     else:
         report["oracle_hull_number"] = None
         report["skipped"] = f"oracle hull check skipped above n={MAX_INTERVAL_N}"
     if g.n <= MAX_ENUM_N:
-        got = [set(a) for a in atoms(g).atoms]
-        want = [set(a) for a in bf_atoms(g)]
-        report["atoms_match"] = got == want
-        agree = agree and got == want
+        passed["atoms"] = [set(a) for a in dec.atoms] == [set(a) for a in bf_atoms(g)]
+        report["atoms_match"] = passed["atoms"]
         enum_report = compare_with_bruteforce(g)
+        passed["enumeration"] = enum_report.complete
         report["enumeration_complete"] = enum_report.complete
         report["enumeration_count"] = len(enum_report.emitted)
-        agree = agree and enum_report.complete
-        agree = agree and extreme_vertices(g) == bf_extreme_vertices(g)
+        passed["oracle_extreme"] = ext == bf_extreme_vertices(g)
     else:
         report["atoms_match"] = None
         report["enumeration_complete"] = None
-    report["agreement"] = agree
+    passed["extreme"] = result.extreme_vertices == ext
+    # a prime graph's one atom is flagged non-extremal but separates nothing
+    passed["separation"] = len(dec.atoms) < 2 or all(
+        len(g.components(a)) >= 2
+        for a, extremal in zip(dec.atoms, dec.extremal_flags)
+        if not extremal
+    )
+    failed = [name for name, ok in passed.items() if not ok]
+    report["agreement"] = not failed
+    if failed:
+        report["mismatches"] = failed
     return report
+
+
+def _verify_one(g: Graph) -> dict:
+    return check(g, solve(g))
 
 
 def _verify_jobs(text: str, fmt: str, name: str | None) -> list[tuple[str, Graph]]:
@@ -309,6 +355,7 @@ def _cmd_verify(args) -> int:
             f"{name}: solver={r['solver_hull_number']}"
             f" oracle={oracle if oracle is not None else 'skipped'}"
             f" closure={'ok' if r['closure_ok'] else 'FAIL'} {status}"
+            + "".join(f" {m}" for m in r.get("mismatches", ()))
         )
     out.text_lines.append(f"agreement: {str(ok).lower()}")
     out.emit()
@@ -334,19 +381,18 @@ def _run_verify_jobs(jobs, workers):
 
 
 def _cmd_gen(args) -> int:
-    parameter = args.p
-    model = args.model
-    g = generate(model, args.n, parameter, args.seed)
+    out = _Emitter("gen", None, args)
+    g = out.graph = generate(args.model, args.n, args.p, args.seed)
     text = to_edge_list(g)
+    out.payload = {"model": args.model, "n": g.n, "m": g.m, "out": args.out or "-"}
     if args.out:
         Path(args.out).write_text(text)
-        dest = args.out
+    elif args.format == "json":
+        # the edge list rides inside the one JSON document
+        out.payload["edge_list"] = text
     else:
         sys.stdout.write(text)
-        dest = "-"
     if args.format == "json":
-        out = _Emitter("gen", g, args)
-        out.payload = {"model": model, "n": g.n, "m": g.m, "out": dest}
         out.emit()
     return EXIT_OK
 

@@ -164,8 +164,75 @@ def test_verify_fails_on_dropped_extreme_vertex(monkeypatch, tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     (report,) = doc["result"]["reports"]
     assert report["agreement"] is False
+    assert report["mismatches"] == ["oracle_extreme", "extreme"]
     assert report["enumeration_complete"] and report["atoms_match"]
     assert report["oracle_hull_number"] == report["solver_hull_number"]
+
+
+def verify_report(path, capsys) -> dict:
+    """The one report of a JSON ``verify`` run that finds a mismatch."""
+    assert run(["verify", str(path), "--format", "json"]) == EXIT_MISMATCH
+    doc = json.loads(capsys.readouterr().out)
+    (report,) = doc["result"]["reports"]
+    assert report["agreement"] is False
+    return report
+
+
+def test_verify_checks_intervals(monkeypatch, theta_file, capsys):
+    import tollhull.cli as cli
+
+    real = cli.toll_interval
+
+    def widened(g, x, y):
+        # one vertex more than the interval holds, where one is missing
+        iv = real(g, x, y)
+        return iv | {min(set(range(g.n)) - iv, default=x)}
+
+    monkeypatch.setattr(cli, "toll_interval", widened)
+    assert verify_report(theta_file, capsys)["mismatches"] == ["intervals"]
+
+
+def test_verify_checks_closure_by_brute_force(monkeypatch, theta_file, capsys):
+    import tollhull.cli as cli
+
+    real = cli.bf_hull
+    monkeypatch.setattr(cli, "bf_hull", lambda g, s: real(g, s) - {0})
+    report = verify_report(theta_file, capsys)
+    assert report["mismatches"] == ["closure"]
+    assert report["closure_ok"] is False
+    # the text line of a failing graph names its failed checks
+    assert run(["verify", theta_file]) == EXIT_MISMATCH
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.endswith("closure=FAIL MISMATCH closure")
+
+
+def test_verify_checks_separation(monkeypatch, tmp_path, capsys):
+    import tollhull.cli as cli
+
+    real = cli.atoms
+
+    def misflagged(g):
+        # the path's end atom {0, 1} is extremal; removing it leaves 2-3
+        # connected, so flagging it non-extremal must fail the check
+        dec = real(g)
+        return dataclasses.replace(dec, extremal_flags=(False,) + dec.extremal_flags[1:])
+
+    monkeypatch.setattr(cli, "atoms", misflagged)
+    p = tmp_path / "path.txt"
+    p.write_text("0 1\n1 2\n2 3\n")
+    report = verify_report(p, capsys)
+    assert report["mismatches"] == ["separation"]
+    assert report["atoms_match"] is True
+
+
+def test_verify_agreeing_report_keys(theta_file, capsys):
+    assert run(["verify", theta_file, "--format", "json"]) == EXIT_OK
+    (report,) = json.loads(capsys.readouterr().out)["result"]["reports"]
+    assert list(report) == [
+        "n", "solver_hull_number", "closure_ok", "oracle_hull_number",
+        "atoms_match", "enumeration_complete", "enumeration_count",
+        "agreement", "name",
+    ]
 
 
 def test_verify_fails_on_incomplete_enumeration(monkeypatch, theta_file, capsys):
@@ -204,6 +271,16 @@ def test_gen_roundtrip(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_gen_json_without_out_is_one_document(capsys):
+    argv = ["gen", "--model", "tree", "--n", "8", "--seed", "3"]
+    assert run(argv) == EXIT_OK
+    text = capsys.readouterr().out
+    assert run(argv + ["--format", "json"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["result"]["edge_list"] == text
+    assert doc["result"]["out"] == "-"
+
+
 def test_gen_tree_model(capsys):
     assert run(["gen", "--model", "tree", "--n", "8", "--seed", "3"]) == EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()
@@ -236,3 +313,25 @@ def test_unknown_label_is_user_error(fig_file, capsys):
 def test_hull_with_timing_flag(fig_file, capsys):
     assert run(["hull", fig_file, "--timing"]) == EXIT_OK
     assert "elapsed_ms:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_enumerate_timing_covers_the_stream(monkeypatch, theta_file, capsys, fmt):
+    import time
+
+    import tollhull.cli as cli
+
+    real = cli.enumerate_min_hull_sets
+
+    def slow(g, limit=None):
+        time.sleep(0.05)
+        yield from real(g, limit=limit)
+
+    monkeypatch.setattr(cli, "enumerate_min_hull_sets", slow)
+    assert run(["enumerate", theta_file, "--format", fmt, "--timing"]) == EXIT_OK
+    out = capsys.readouterr().out
+    if fmt == "json":
+        elapsed = json.loads(out)["elapsed_ms"]
+    else:
+        elapsed = float(out.splitlines()[-1].removeprefix("elapsed_ms: "))
+    assert elapsed >= 50

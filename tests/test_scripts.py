@@ -1,3 +1,4 @@
+import importlib.util
 import subprocess
 import sys
 
@@ -28,3 +29,22 @@ def test_oracle_sweep_corpus_smoke(tmp_path):
     done = sweep("--corpus", str(corpus))
     assert done.returncode == 0, done.stdout + done.stderr
     assert "corpus: 23 graphs, 0 discrepancies" in done.stdout
+
+
+def test_oracle_sweep_counts_failed_checks(monkeypatch, tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("oracle_sweep", SWEEP)
+    oracle_sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle_sweep)
+    real = oracle_sweep.check
+
+    def failing(g, r):
+        # every check passes but the interval one
+        return dict(real(g, r), agreement=False, mismatches=["intervals"])
+
+    monkeypatch.setattr(oracle_sweep, "check", failing)
+    corpus = tmp_path / "one.g6"
+    corpus.write_text(CORPUS_PATH.read_text().splitlines()[5] + "\n")
+    assert oracle_sweep.sweep_corpus(str(corpus)) == 1
+    out = capsys.readouterr().out
+    assert "mismatch on " in out and ": intervals" in out
+    assert "corpus: 1 graphs, 1 discrepancies" in out
