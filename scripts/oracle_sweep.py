@@ -23,8 +23,9 @@ selection rule fired in the solver's trace, by phase (``initial`` or
 ``merge``), the member's type, for a merge k (how many absorbed members
 were already t-concave), and rule label.
 
-On one core (Python 3.11) the corpus mode takes about 8 s on
-``tests/data/connected_le7.g6`` and ``--random 10000`` about 2 minutes.
+On one core (Python 3.11) the corpus mode takes about 3 s on
+``tests/data/connected_le7.g6`` and about 50 s on
+``tests/data/connected_8.g6``, and ``--random 10000`` about 40 s.
 
 Exits non-zero on any discrepancy.  Typical use:
 

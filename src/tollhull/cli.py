@@ -4,10 +4,15 @@ Every subcommand reads one graph (edge-list or graph6, file or "-" for
 stdin), computes, and prints either stable line-oriented text or a single
 JSON document.  Vertex names are echoed exactly as they appeared in the
 input; internal ids never leak.  Identical inputs produce byte-identical
-outputs unless --timing is given.
+outputs unless --timing is given.  ``gen`` in text mode prints its timing
+line to stderr, so that stdout stays a parseable edge list.
 
 Exit status: 0 success, 1 bad input or flags, 2 internal invariant
 violation (a bug, never a user error), 3 oracle disagreement in verify.
+An input that cannot be read (a directory, no permission, bytes that do
+not decode) is bad input, and so is a ``verify`` input that holds no graph
+(an empty directory, a graph6 file of blank lines): a sweep of nothing
+proves nothing.
 """
 from __future__ import annotations
 
@@ -55,12 +60,15 @@ EXIT_MISMATCH = 3
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    p = Path(path)
-    if not p.exists():
-        raise GraphError(f"no such file: {path}")
-    return p.read_text()
+    """The text of a file or of stdin ("-"); a path that cannot be read
+    (missing, a directory, no permission) or text that is not valid in the
+    locale's encoding is a GraphError."""
+    try:
+        return sys.stdin.read() if path == "-" else Path(path).read_text()
+    except FileNotFoundError:
+        raise GraphError(f"no such file: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GraphError(f"cannot read {path}: {exc}") from None
 
 
 def _load_graph(path: str, fmt: str) -> Graph:
@@ -117,9 +125,7 @@ class _Emitter:
             if self.trace is not None:
                 doc["trace"] = self.trace
             if self.timing:
-                doc["elapsed_ms"] = round(
-                    (time.perf_counter() - self.started) * 1000, 3
-                )
+                doc["elapsed_ms"] = round(self.elapsed_ms(), 3)
             print(json.dumps(doc, indent=2))
         else:
             for line in self.text_lines:
@@ -128,10 +134,10 @@ class _Emitter:
                 for entry in self.trace:
                     print(f"trace: {json.dumps(entry)}")
             if self.timing:
-                print(
-                    f"elapsed_ms: "
-                    f"{(time.perf_counter() - self.started) * 1000:.3f}"
-                )
+                print(f"elapsed_ms: {self.elapsed_ms():.3f}")
+
+    def elapsed_ms(self) -> float:
+        return (time.perf_counter() - self.started) * 1000
 
 
 def _cmd_hull(args) -> int:
@@ -338,9 +344,11 @@ def _cmd_verify(args) -> int:
         jobs = []
         for p in files:
             fmt = "graph6" if p.suffix == ".g6" else "edge-list"
-            jobs += _verify_jobs(p.read_text(), fmt, p.name)
+            jobs += _verify_jobs(_read_text(str(p)), fmt, p.name)
     else:
         jobs = _verify_jobs(_read_text(args.file), args.input_format, None)
+    if not jobs:
+        raise GraphError(f"no graphs to verify in {args.file}")
     reports = _run_verify_jobs(jobs, args.jobs)
     ok = all(r["agreement"] for _, r in reports)
     out.payload = {
@@ -394,6 +402,9 @@ def _cmd_gen(args) -> int:
         sys.stdout.write(text)
     if args.format == "json":
         out.emit()
+    elif args.timing:
+        # stdout may be the edge list, which a timing line would break
+        print(f"elapsed_ms: {out.elapsed_ms():.3f}", file=sys.stderr)
     return EXIT_OK
 
 

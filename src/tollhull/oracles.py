@@ -2,7 +2,9 @@
 
 Everything here recomputes toll-convexity quantities from first principles:
 intervals by exhaustive search over the bounded walk space, hull numbers by
-subset enumeration, decompositions by testing every induced subgraph.  The
+subset enumeration, atoms by testing vertex subsets, largest first, against
+every clique.  All oracles on a graph read the one interval table that
+``bf_all_intervals`` keeps for the graph asked about last.  The
 implementations deliberately share no machinery with the production
 operators they certify.
 
@@ -10,6 +12,7 @@ All entry points carry hard size guards and raise instead of sampling.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -191,13 +194,21 @@ def _reconstruct(g, x, y, v, pos, forward, backward, cap):
     return WalkWitness(walk=walk, x=x, y=y, v=v)
 
 
+# (weakref to the graph asked about last, its interval table); weak, so that
+# a sweep keeps none of the graphs it has checked alive
+_TABLE: tuple = (None, None)
+
+
 def bf_all_intervals(g: Graph) -> dict[tuple[int, int], frozenset[int]]:
-    """Toll intervals of every unordered pair, keyed by (min, max)."""
+    """Toll intervals of every pair, keyed by (min, max); read-only."""
+    global _TABLE
     _guard(g, MAX_INTERVAL_N, "bf_all_intervals")
-    return {
-        (x, y): bf_toll_interval(g, x, y)
-        for x, y in combinations(range(g.n), 2)
-    }
+    ref, table = _TABLE
+    if ref is None or ref() is not g:
+        table = {(x, y): bf_toll_interval(g, x, y)
+                 for x, y in combinations(range(g.n), 2)}
+        _TABLE = (weakref.ref(g), table)
+    return table
 
 
 # -- hulls and hull numbers -------------------------------------------------
@@ -227,31 +238,21 @@ def bf_hull(g: Graph, s) -> frozenset[int]:
         raise GraphError("hull of the empty set is undefined")
     if len(s) == 1:
         return s
-    return _closure(s, _LazyIntervals(g))
+    g._check_vertex(*s)
+    return _closure(s, bf_all_intervals(g))
 
 
-class _LazyIntervals:
-    """Pair-interval cache that computes entries on first use."""
-
-    def __init__(self, g: Graph):
-        self.g = g
-        self.cache: dict[tuple[int, int], frozenset[int]] = {}
-
-    def __getitem__(self, key):
-        got = self.cache.get(key)
-        if got is None:
-            got = bf_toll_interval(self.g, *key)
-            self.cache[key] = got
-        return got
+def _extreme(g: Graph) -> frozenset[int]:
+    hit = set()
+    for (x, y), interval in bf_all_intervals(g).items():
+        hit |= interval - {x, y}
+    return frozenset(range(g.n)) - hit
 
 
 def bf_extreme_vertices(g: Graph) -> frozenset[int]:
     """Vertices appearing in no toll interval of two other vertices."""
     _guard(g, MAX_ENUM_N, "bf_extreme_vertices")
-    hit = set()
-    for (x, y), interval in bf_all_intervals(g).items():
-        hit |= interval - {x, y}
-    return frozenset(range(g.n)) - hit
+    return _extreme(g)
 
 
 def bf_is_extreme(g: Graph, v: int) -> bool:
@@ -264,11 +265,8 @@ def _min_sets(g: Graph, predicate, *, all_sets: bool):
     n = g.n
     if n == 1:
         return 1, [frozenset({0})]
-    intervals = _LazyIntervals(g)
-    hit = set()
-    for x, y in combinations(range(n), 2):
-        hit |= intervals[(x, y)] - {x, y}
-    ext = frozenset(range(n)) - hit
+    intervals = bf_all_intervals(g)
+    ext = _extreme(g)
     rest = sorted(set(range(n)) - ext)
     full = frozenset(range(n))
     for size in range(max(2, len(ext)), n + 1):
@@ -288,7 +286,7 @@ def bf_hull_number(g: Graph) -> int:
     _guard(g, MAX_INTERVAL_N, "bf_hull_number")
     if not g.is_connected():
         raise GraphError("hull number requires a connected graph")
-    size, _ = _min_sets(g, lambda s, iv: _closure(s, iv), all_sets=False)
+    size, _ = _min_sets(g, _closure, all_sets=False)
     return size
 
 
@@ -296,7 +294,7 @@ def bf_all_min_hull_sets(g: Graph) -> list[frozenset[int]]:
     _guard(g, MAX_ENUM_N, "bf_all_min_hull_sets")
     if not g.is_connected():
         raise GraphError("hull sets require a connected graph")
-    _, sets = _min_sets(g, lambda s, iv: _closure(s, iv), all_sets=True)
+    _, sets = _min_sets(g, _closure, all_sets=True)
     return sorted(sets, key=sorted)
 
 
@@ -333,29 +331,31 @@ def _cliques(g: Graph):
     return out
 
 
+def _prime(g: Graph, s: frozenset[int], cliques) -> bool:
+    """G[s] is prime: no clique of G strictly inside s, the empty one
+    included, leaves G[s] in more than one piece."""
+    outside = frozenset(range(g.n)) - s
+    return all(len(g.components(outside | c)) < 2 for c in cliques if c < s)
+
+
 def bf_is_prime(g: Graph) -> bool:
     """No proper clique subset separates the graph (literal definition)."""
     _guard(g, MAX_INTERVAL_N, "bf_is_prime")
     if not g.is_connected():
         raise GraphError("primality requires a connected graph")
-    full = frozenset(range(g.n))
-    for s in _cliques(g):
-        if s != full and len(g.components(s)) > 1:
-            return False
-    return True
+    return _prime(g, frozenset(range(g.n)), _cliques(g))
 
 
 def bf_atoms(g: Graph) -> list[frozenset[int]]:
-    """Maximal prime induced subgraphs by checking every vertex subset."""
+    """Maximal prime induced subgraphs, found largest first."""
     _guard(g, MAX_ENUM_N, "bf_atoms")
     if not g.is_connected():
         raise GraphError("decomposition requires a connected graph")
-    primes = []
-    verts = list(range(g.n))
-    for size in range(1, g.n + 1):
-        for sub in combinations(verts, size):
-            h, _ = g.subgraph(sub)
-            if h.is_connected() and bf_is_prime(h):
-                primes.append(frozenset(sub))
-    atoms = [a for a in primes if not any(a < b for b in primes)]
+    cliques = _cliques(g)
+    atoms: list[frozenset[int]] = []
+    for size in range(g.n, 0, -1):
+        for sub in combinations(range(g.n), size):
+            s = frozenset(sub)
+            if not any(s <= a for a in atoms) and _prime(g, s, cliques):
+                atoms.append(s)
     return sorted(atoms, key=sorted)

@@ -3,9 +3,10 @@ import json
 
 import pytest
 
-from conftest import CORPUS_PATH
-from tollhull.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USER, _pool_size, run
-from tollhull.graph import g12, star3, theta7, to_edge_list, to_graph6
+from conftest import CORPUS_8_PATH, CORPUS_PATH
+from tollhull.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USER, _pool_size, check, run
+from tollhull.graph import g12, parse_graph6, star3, theta7, to_edge_list, to_graph6
+from tollhull.solver import solve
 
 
 @pytest.fixture
@@ -142,6 +143,14 @@ def test_verify_directory_parallel(tmp_path, capsys):
     (tmp_path / "b.txt").write_text(to_edge_list(star3()))
     assert run(["verify", str(tmp_path), "--jobs", "2"]) == EXIT_OK
     assert "agreement: true" in capsys.readouterr().out
+
+
+def test_check_agrees_on_every_25th_graph_on_8_vertices():
+    lines = CORPUS_8_PATH.read_text().splitlines()[::25]
+    assert len(lines) == 445
+    for line in lines:
+        g = parse_graph6(line)
+        assert check(g, solve(g))["agreement"], line
 
 
 def test_verify_mismatch_exit(monkeypatch, theta_file, capsys):
@@ -281,6 +290,16 @@ def test_gen_json_without_out_is_one_document(capsys):
     assert doc["result"]["out"] == "-"
 
 
+def test_gen_text_timing_goes_to_stderr(capsys):
+    argv = ["gen", "--model", "tree", "--n", "8", "--seed", "3"]
+    assert run(argv) == EXIT_OK
+    plain = capsys.readouterr().out
+    assert run(argv + ["--timing"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == plain
+    assert captured.err.startswith("elapsed_ms: ")
+
+
 def test_gen_tree_model(capsys):
     assert run(["gen", "--model", "tree", "--n", "8", "--seed", "3"]) == EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()
@@ -296,6 +315,36 @@ def test_user_errors(tmp_path, capsys):
     disc.write_text("a b\nc d\n")
     assert run(["hull", str(disc)]) == EXIT_USER
     capsys.readouterr()
+
+
+def test_unreadable_input_is_user_error(monkeypatch, tmp_path, capsys):
+    import io
+    import sys
+
+    undecodable = tmp_path / "bom.txt"
+    undecodable.write_bytes(b"\xff\xfea b\n")
+    for argv in (["hull", str(tmp_path)], ["hull", str(undecodable)],
+                 ["verify", str(tmp_path)]):
+        assert run(argv) == EXIT_USER
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read") and "Traceback" not in err
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfea b\n"), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert run(["hull", "-"]) == EXIT_USER
+    assert capsys.readouterr().err.startswith("error: cannot read -")
+
+
+def test_verify_with_nothing_to_check_fails(tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    blank = tmp_path / "blank.g6"
+    blank.write_text("\n  \n")
+    for argv in (["verify", str(empty)],
+                 ["verify", str(blank), "--input-format", "graph6"]):
+        assert run(argv) == EXIT_USER
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no graphs to verify" in captured.err
 
 
 def test_hull_rejects_a_graph6_sweep_file(capsys):

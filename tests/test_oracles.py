@@ -1,3 +1,8 @@
+import gc
+import random
+import weakref
+from itertools import combinations
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -5,6 +10,8 @@ from conftest import connected_graphs, vid, vids
 from tollhull.graph import Graph, SizeLimitError, c5, g12, k4, star3, theta7
 from tollhull.oracles import (
     WalkWitness,
+    _cliques,
+    bf_all_intervals,
     bf_all_min_hull_sets,
     bf_atoms,
     bf_extreme_vertices,
@@ -157,6 +164,78 @@ def test_atoms_small_cases():
     assert frozenset("v4 v5 v6 v7".split()) in as_labels
     assert frozenset("v6 v7 v8 v9".split()) in as_labels
     assert len(atoms) == 3
+
+
+def _atoms_subset_by_subset(g):
+    """Maximal prime induced subgraphs by building every vertex subset's
+    induced subgraph and testing each of its own cliques as a separator."""
+    primes = []
+    for size in range(1, g.n + 1):
+        for sub in combinations(range(g.n), size):
+            h, _ = g.subgraph(sub)
+            full = frozenset(range(h.n))
+            if h.is_connected() and all(
+                len(h.components(c)) == 1 for c in _cliques(h) if c != full
+            ):
+                primes.append(frozenset(sub))
+    return sorted((a for a in primes if not any(a < b for b in primes)), key=sorted)
+
+
+def _seeded_connected_graphs(count, sizes, seed):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.choice(sizes)
+        p = rng.choice([0.2, 0.35, 0.5, 0.7])
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        if g.is_connected():
+            out.append(g)
+    return out
+
+
+def test_atoms_largest_first_match_subset_by_subset(small_corpus):
+    for g in small_corpus + _seeded_connected_graphs(30, (8, 9), seed=21):
+        assert bf_atoms(g) == _atoms_subset_by_subset(g), sorted(g.edges())
+
+
+def test_check_computes_each_interval_once(monkeypatch):
+    import tollhull.oracles as oracles
+    from tollhull.cli import check
+    from tollhull.solver import solve
+
+    g = _seeded_connected_graphs(1, (9,), seed=5)[0]
+    calls = []
+    real = oracles.bf_toll_interval
+
+    def counted(g, x, y, *args, **kwargs):
+        calls.append((x, y))
+        return real(g, x, y, *args, **kwargs)
+
+    monkeypatch.setattr(oracles, "bf_toll_interval", counted)
+    assert check(g, solve(g))["agreement"]
+    assert len(calls) == g.n * (g.n - 1) // 2 == len(set(calls))
+
+
+def test_interval_table_follows_the_graph_asked_about():
+    g1, g2 = star3(), c5()
+    first = {
+        (x, y): bf_toll_interval(g1, x, y) for x, y in combinations(range(g1.n), 2)
+    }
+    second = {
+        (x, y): bf_toll_interval(g2, x, y) for x, y in combinations(range(g2.n), 2)
+    }
+    assert bf_all_intervals(g1) == first
+    assert bf_all_intervals(g2) == second
+    assert bf_all_intervals(g1) == first
+
+
+def test_interval_table_keeps_no_graph_alive():
+    g = c5()
+    bf_all_intervals(g)
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
 
 
 def test_guards():
