@@ -10,14 +10,19 @@ line to stderr, so that stdout stays a parseable edge list.
 Exit status: 0 success, 1 bad input or flags, 2 internal invariant
 violation (a bug, never a user error), 3 oracle disagreement in verify.
 An input that cannot be read (a directory, no permission, bytes that do
-not decode) is bad input, and so is a ``verify`` input that holds no graph
-(an empty directory, a graph6 file of blank lines): a sweep of nothing
-proves nothing.
+not decode, on a path or on stdin alike) is bad input, and so is a
+``verify`` input that holds no graph (an empty directory, a graph6 file of
+blank lines): a sweep of nothing proves nothing.  Running out of memory
+(in parse, ``gen`` or a solve) also exits 1 with one ``error:`` line: the
+input or the requested graph is too large for this machine, which a
+smaller one mends, while exit 2 is kept for results the code itself got
+wrong.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import sys
@@ -62,9 +67,17 @@ EXIT_MISMATCH = 3
 def _read_text(path: str) -> str:
     """The text of a file or of stdin ("-"); a path that cannot be read
     (missing, a directory, no permission) or text that is not valid in the
-    locale's encoding is a GraphError."""
+    locale's encoding is a GraphError.  Stdin's bytes are decoded as a
+    file's are, since its own error handler may pass bad bytes through
+    (``surrogateescape`` in UTF-8 mode); a stdin with no bytes under it,
+    such as an ``io.StringIO``, is read as it is."""
     try:
-        return sys.stdin.read() if path == "-" else Path(path).read_text()
+        if path != "-":
+            return Path(path).read_text()
+        raw = getattr(sys.stdin, "buffer", None)
+        if raw is None:
+            return sys.stdin.read()
+        return io.TextIOWrapper(io.BytesIO(raw.read()), io.text_encoding(None)).read()
     except FileNotFoundError:
         raise GraphError(f"no such file: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
@@ -485,6 +498,10 @@ def run(argv) -> int:
         return args.func(args)
     except (SizeLimitError, ParseError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USER
+    except MemoryError:
+        print("error: out of memory: the input is too large for this machine",
+              file=sys.stderr)
         return EXIT_USER
     except (SolverInvariantError, EnumerationError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -58,27 +58,16 @@ class IntervalKernel:
         return got
 
     def _build_side(self, u: int) -> list[int]:
-        adj = self.adj
-        side = [0] * len(adj)
-        rest = self.full & ~(adj[u] | 1 << u)
+        side = [0] * len(self.adj)
+        rest = self.full & ~(self.adj[u] | 1 << u)
         while rest:
-            comp = frontier = rest & -rest
             # comp is a whole component of G - N[u], so its neighbours lie
             # in comp and N(u)
-            touched = 0
-            while frontier:
-                rest ^= frontier
-                reach = 0
-                while frontier:
-                    low = frontier & -frontier
-                    reach |= adj[low.bit_length() - 1]
-                    frontier ^= low
-                touched |= reach
-                frontier = reach & rest
-                comp |= frontier
+            comp, touched = self.flood(rest, rest & -rest)
             reentry = comp | touched
             for v in _members(comp):
                 side[v] = reentry
+            rest &= ~comp
         return side
 
     def flood(
@@ -139,7 +128,7 @@ class IntervalKernel:
         return ends | self.side(x)[y] & self.side(y)[x]
 
     def hull(self, mask: int) -> int:
-        """The toll hull of a non-empty mask.  A worklist expands each pair
+        """The toll hull of a mask, 0 for 0.  A worklist expands each pair
         of the growing set once, taking the new vertex against every vertex
         already expanded, and stops as soon as the set is ``full``."""
         queue = _members(mask)
@@ -307,26 +296,19 @@ def toll_hull(g: Graph, s) -> frozenset[int]:
 
 
 def is_t_convex(g: Graph, s) -> bool:
-    """s is closed under toll intervals of its pairs.  The empty set and
-    V are convex by convention."""
+    """s is closed under toll intervals of its pairs: it is its own hull.
+    The empty set and V are convex by convention."""
     _require_connected(g)
-    return _convex(interval_kernel(g), _checked_mask(g, frozenset(s)))
+    mask = _checked_mask(g, frozenset(s))
+    return interval_kernel(g).hull(mask) == mask
 
 
 def is_t_concave(g: Graph, s) -> bool:
     """The complement of s is t-convex."""
     _require_connected(g)
     k = interval_kernel(g)
-    return _convex(k, k.full & ~_checked_mask(g, frozenset(s)))
-
-
-def _convex(k: IntervalKernel, inside: int) -> bool:
-    """The mask holds the interval of each of its pairs."""
-    if inside.bit_count() <= 1 or inside == k.full:
-        return True
-    return not any(
-        k.interval(a, b) & ~inside for a, b in combinations(_members(inside), 2)
-    )
+    rest = k.full & ~_checked_mask(g, frozenset(s))
+    return k.hull(rest) == rest
 
 
 def is_toll_extreme(g: Graph, v: int) -> bool:

@@ -15,6 +15,12 @@ the family stabilizes; each merge that produces a t-concave interior picks
 its vertices through one of eight selection rules, depending on the type
 and on how many merged members were already concave.
 
+All members, the non-extremal atoms that merges absorb among them, sit in
+one index by vertex.  A member not t-concave is popped from a queue by
+sorted vertices, and the holders of its border, asked for once then, are
+its merge's parts; with no partner it waits for a merged member to cover
+its border.
+
 Every vertex set in the solver is an int mask, bit v standing for vertex
 v, on the graph's ``IntervalKernel``.  Frozensets appear only in the
 ``HullResult`` and at the pair scan's calls to ``toll_interval``.  Each
@@ -41,7 +47,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from operator import attrgetter
 
@@ -127,12 +133,15 @@ class _Member:
     members were made, and ``chosen`` the mask of its picks.  ``witness``
     is 0, or for a member whose interior is not t-concave, the mask of a
     non-adjacent pair outside the interior whose toll interval meets it.
+    ``extremal`` is False only for a non-extremal atom, which is never
+    classified, so never concave and without a witness.
     """
 
     mask: int
     border: int
     key: tuple[int, ...]
     seq: int
+    extremal: bool = True
     concave: bool = False
     ctype: int | None = None
     chosen: int = 0
@@ -330,15 +339,13 @@ def _first(rungs: list[tuple[str, Iterator[int]]]) -> tuple[int, str]:
 
 
 def _interior_concave(g: Graph, mem: _Member, parts=()) -> bool:
-    """The interior of a member is t-concave.  A witness of one of the
-    ``parts``, the members absorbed into it, refutes it when neither end
-    lies in its interior; otherwise the fast test decides when its border
-    is a clique and its interior connected, and a scan of the intervals of
-    the non-adjacent pairs outside it decides the rest.  A refuted member
-    keeps the pair that refuted it as its ``witness``."""
+    """The non-empty interior of a member is t-concave.  A witness of one
+    of the ``parts``, the members absorbed into it, refutes it when neither
+    end lies in its interior; otherwise the fast test decides when its
+    border is a clique and its interior connected, and a scan of the
+    intervals of the non-adjacent pairs outside it decides the rest.  A
+    refuted member keeps the pair that refuted it as its ``witness``."""
     interior = mem.interior
-    if not interior:
-        return True
     for p in parts:
         if p.witness and not p.witness & interior:
             mem.witness = p.witness
@@ -357,6 +364,10 @@ def _interior_concave(g: Graph, mem: _Member, parts=()) -> bool:
 
 
 def _classify(g: Graph, mem: _Member, parts=()) -> None:
+    """Whether the member's interior is t-concave, and its type if so.  A
+    family member's interior is never empty, a family law."""
+    if not mem.interior:
+        raise SolverInvariantError("member with empty interior")
     mem.concave = _interior_concave(g, mem, parts)
     mem.ctype = classify_type(g, mem.interior) if mem.concave else None
 
@@ -415,7 +426,7 @@ def solve(g: Graph) -> HullResult:
 
 def _solve_reducible(g: Graph, dec: AtomDecomposition) -> HullResult:
     trace: list[dict] = []
-    f_index, m_index = _Index(g.n), _Index(g.n)
+    index = _Index(g.n)
     # A non-extremal atom A disconnects G, so it is not re-checked here.
     # Atoms are the maximal prime vertex sets (Berry, Pogorelcnik & Simonet
     # 2010), and the argument uses three facts:
@@ -446,19 +457,16 @@ def _solve_reducible(g: Graph, dec: AtomDecomposition) -> HullResult:
     # through cli.check, as do the tier-1 tests.
     for seq, (atom, flag) in enumerate(zip(dec.atoms, dec.extremal_flags)):
         mem = _member(g, _mask_of(atom), seq)
+        mem.extremal = flag
         if flag:
             _classify(g, mem)
-            f_index.add(mem)
-        else:
-            m_index.add(mem)
-    if len(f_index.members) < 2:
+        index.add(mem)
+    if sum(dec.extremal_flags) < 2:
         raise SolverInvariantError("reducible graph with fewer than two extremal atoms")
 
     s = 0  # the hull set
 
-    for mem in sorted(f_index.members, key=_by_key):
-        if not mem.interior:
-            raise SolverInvariantError("extremal atom with empty interior")
+    for mem in sorted(index.members, key=_by_key):
         if not mem.concave:
             continue
         ctx = ChoiceContext(f_circ=mem, f_bullet=mem, members=(mem,))
@@ -481,71 +489,55 @@ def _solve_reducible(g: Graph, dec: AtomDecomposition) -> HullResult:
             "chosen": _members(pick),
         })
 
-    # The merge targets are the non-concave members whose border lies in
-    # another member, their partner.  A partner merged away leaves its
-    # vertices in the merged member, so a target waits in the queue until
-    # it is merged itself; a member without a partner can gain one only
-    # from a new merged member.
-    queue: list = []
+    # The merge targets are the non-concave members of the family, popped
+    # by sorted vertices.  The members holding a popped target's border are
+    # its merge's parts: the target and at least one partner.  A target
+    # with no partner waits, as only a merged member covering its border
+    # can give it one.  No graph tried so far has re-queued a waiting
+    # target, but nothing proves that none can.
+    queue = [(m.key, m.seq, m) for m in index.members if m.extremal and not m.concave]
+    heapify(queue)
     waiting: list[_Member] = []
-
-    def offer(f: _Member) -> None:
-        if m_index.containing(f.border) or any(
-            o is not f for o in f_index.containing(f.border)
-        ):
-            heappush(queue, (f.key, f.seq, f))
-        else:
-            waiting.append(f)
-
-    for f in f_index.members:
-        if not f.concave:
-            offer(f)
-
     iteration = 0
     budget = len(dec.atoms) + 1
-    while True:
-        target = _pick_merge_target(queue, f_index)
-        if target is None:
-            break
+    while queue:
+        target = heappop(queue)[2]
+        if target not in index.members:
+            continue
+        parts = index.containing(target.border)
+        if len(parts) < 2:
+            waiting.append(target)
+            continue
         iteration += 1
         if iteration > budget:
             raise SolverInvariantError("merge loop exceeded its termination bound")
-        m_prime = m_index.containing(target.border)
-        f_prime = f_index.containing(target.border)
-        if len(m_prime) + len(f_prime) < 2:
-            raise SolverInvariantError("merge target lost its partner")
         new_mask = chosen = 0
-        for m in m_prime:
-            m_index.remove(m)
-            new_mask |= m.mask
-        for f in f_prime:
-            f_index.remove(f)
-            new_mask |= f.mask
-            chosen |= f.chosen
+        for p in parts:
+            index.remove(p)
+            new_mask |= p.mask
+            chosen |= p.chosen
         new_member = _member(g, new_mask, len(dec.atoms) + iteration)
-        _classify(g, new_member, f_prime)
+        _classify(g, new_member, parts)
         new_member.chosen = chosen
-        _check_family_invariants(
-            g, new_member, f_index.meeting(new_mask) + m_index.meeting(new_mask)
-        )
-        f_index.add(new_member)
+        _check_family_invariants(g, new_member, index.meeting(new_mask))
+        index.add(new_member)
         held, waiting = waiting, []
         for f in held:
-            if f not in f_index.members:
+            if f not in index.members:
                 continue
             if f.border & ~new_mask:
                 waiting.append(f)
             else:
                 heappush(queue, (f.key, f.seq, f))
         if not new_member.concave:
-            offer(new_member)
+            heappush(queue, (new_member.key, new_member.seq, new_member))
 
         entry = {
             "phase": "merge",
             "iteration": iteration,
             "f_circ": list(target.key),
-            "f_prime": [list(f.key) for f in f_prime],
-            "m_prime": [list(m.key) for m in m_prime],
+            "f_prime": [list(p.key) for p in parts if p.extremal],
+            "m_prime": [list(p.key) for p in parts if not p.extremal],
             "f_bullet": list(new_member.key),
             "type": new_member.ctype,
             "k": None,
@@ -553,27 +545,17 @@ def _solve_reducible(g: Graph, dec: AtomDecomposition) -> HullResult:
             "chosen": [],
         }
         if new_member.concave:
-            s = _apply_merge_choice(g, target, f_prime, m_prime, new_member, s, entry)
+            s = _apply_merge_choice(g, target, parts, new_member, s, entry)
         trace.append(entry)
 
-    return _finish(f_index.members, s, trace)
+    return _finish(index.members, s, trace)
 
 
-def _pick_merge_target(queue, f_index: _Index) -> _Member | None:
-    """The least member, by sorted vertices, of the merge targets still in
-    the family."""
-    while queue:
-        f = heappop(queue)[2]
-        if f in f_index.members:
-            return f
-    return None
-
-
-def _apply_merge_choice(g, target, f_prime, m_prime, new_member, s, entry) -> int:
+def _apply_merge_choice(g, target, parts, new_member, s, entry) -> int:
     """Pick the vertices of a merged concave member, record them in the
     member and the trace entry, and return the hull set with them."""
     i = new_member.ctype
-    k_members = [f for f in f_prime if f.concave]
+    k_members = [p for p in parts if p.concave]
     k = len(k_members)
     if k > 2:
         raise SolverInvariantError("more than two concave members were merged")
@@ -584,7 +566,7 @@ def _apply_merge_choice(g, target, f_prime, m_prime, new_member, s, entry) -> in
     ctx = ChoiceContext(
         f_circ=target,
         f_bullet=new_member,
-        members=tuple(sorted(f_prime + m_prime, key=_by_key)),
+        members=tuple(sorted(parts, key=_by_key)),
     )
     entry["k"] = k
 
@@ -644,13 +626,10 @@ def _apply_merge_choice(g, target, f_prime, m_prime, new_member, s, entry) -> in
 
 
 def _check_family_invariants(g, new_member, others):
-    """The freshly merged member keeps the family laws: non-empty interior,
-    interiors disjoint from every other member, pairwise clique overlaps.
-    ``others`` needs to hold only the members meeting it, since a disjoint
+    """The freshly merged member keeps the family laws: interiors disjoint
+    from every other member, pairwise clique overlaps.  ``others`` needs to hold only the members meeting it, since a disjoint
     member keeps both laws."""
     interior = new_member.interior
-    if not interior:
-        raise SolverInvariantError("merged member with empty interior")
     k = interval_kernel(g)
     for o in others:
         if interior & o.interior:
@@ -659,10 +638,10 @@ def _check_family_invariants(g, new_member, others):
             raise SolverInvariantError("member overlap is not a clique")
 
 
-def _finish(f_members, s, trace) -> HullResult:
+def _finish(members, s, trace) -> HullResult:
     family = []
     covered = extreme = 0
-    for mem in sorted(f_members, key=_by_key):
+    for mem in sorted(members, key=_by_key):
         if not mem.concave:
             continue
         interior = mem.interior

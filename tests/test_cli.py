@@ -1,7 +1,14 @@
+import contextlib
 import dataclasses
+import hashlib
+import io
 import json
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import CORPUS_8_PATH, CORPUS_PATH
 from tollhull.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USER, _pool_size, check, run
@@ -318,9 +325,6 @@ def test_user_errors(tmp_path, capsys):
 
 
 def test_unreadable_input_is_user_error(monkeypatch, tmp_path, capsys):
-    import io
-    import sys
-
     undecodable = tmp_path / "bom.txt"
     undecodable.write_bytes(b"\xff\xfea b\n")
     for argv in (["hull", str(tmp_path)], ["hull", str(undecodable)],
@@ -328,10 +332,108 @@ def test_unreadable_input_is_user_error(monkeypatch, tmp_path, capsys):
         assert run(argv) == EXIT_USER
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read") and "Traceback" not in err
-    stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfea b\n"), encoding="utf-8")
-    monkeypatch.setattr(sys, "stdin", stdin)
-    assert run(["hull", "-"]) == EXIT_USER
-    assert capsys.readouterr().err.startswith("error: cannot read -")
+    # a strict stdin, and one that lets bad bytes through as surrogates,
+    # as UTF-8 mode's does: both are decoded as a file is
+    for errors in ("strict", "surrogateescape"):
+        stdin = io.TextIOWrapper(
+            io.BytesIO(b"\xff\xfea b\n"), encoding="utf-8", errors=errors
+        )
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert run(["hull", "-"]) == EXIT_USER
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot read -")
+        assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "target, argv",
+    [
+        ("parse_graph", ["hull", "FILE"]),
+        ("solve", ["hull", "FILE"]),
+        ("generate", ["gen", "--model", "tree", "--n", "8"]),
+    ],
+)
+def test_out_of_memory_is_one_error_line(monkeypatch, theta_file, capsys, target, argv):
+    import tollhull.cli as cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, target, exhausted)
+    argv = [theta_file if a == "FILE" else a for a in argv]
+    assert run(argv) == EXIT_USER
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory: the input is too large for this machine\n"
+
+
+FUZZED_COMMANDS = (
+    ["hull"],
+    ["atoms"],
+    ["extreme"],
+    ["enumerate", "--limit", "2"],
+    ["verify"],
+    ["interval", "--x", "a", "--y", "b"],
+    ["closure", "--set", "a,b"],
+)
+
+
+def captured_run(argv, stdin=None):
+    """run(argv) with stdin replaced when one is given; returns the exit
+    code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    if stdin is not None:
+        sys.stdin = stdin
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60)
+@example(b"\xff\xfea b\n")
+@example(b"a b\nb c\n")
+@given(st.binary(max_size=64))
+def test_cli_contract_holds_on_any_bytes(data):
+    # any bytes, as a file or on a stdin as lenient as UTF-8 mode's, end
+    # in exit 0 or 1 with no traceback, the same code either way
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph"
+        path.write_bytes(data)
+        for command, *flags in FUZZED_COMMANDS:
+            for fmt in ("edge-list", "graph6"):
+                tail = [*flags, "--input-format", fmt]
+                code, _, err = captured_run([command, str(path), *tail])
+                stdin = io.TextIOWrapper(
+                    io.BytesIO(data), encoding="utf-8", errors="surrogateescape"
+                )
+                piped, _, piped_err = captured_run([command, "-", *tail], stdin)
+                assert code in (EXIT_OK, EXIT_USER), (command, fmt, err)
+                assert piped == code, (command, fmt, err, piped_err)
+                assert "Traceback" not in err + piped_err
+
+
+# sha256 over the `hull - --trace --format json --input-format graph6`
+# output of every graph of connected_le7.g6, in file order; a change to a
+# chosen set, a rule label or the order of a merge's f_prime and m_prime
+# moves it, and scripts/output_digest.py names the graphs that moved
+CORPUS_HULL_TRACE_SHA256 = (
+    "f48e90d54d0284b0d500ebb11bf1467953a1bc6d242d836e9054772a3f5d457c"
+)
+
+
+def test_hull_trace_output_is_pinned_on_corpus():
+    sha = hashlib.sha256()
+    argv = ["hull", "-", "--trace", "--format", "json", "--input-format", "graph6"]
+    for line in CORPUS_PATH.read_text().split():
+        code, out, _ = captured_run(argv, io.StringIO(line))
+        assert code == EXIT_OK, line
+        sha.update(out.encode())
+    assert sha.hexdigest() == CORPUS_HULL_TRACE_SHA256
 
 
 def test_verify_with_nothing_to_check_fails(tmp_path, capsys):

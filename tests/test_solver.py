@@ -391,3 +391,11 @@ def test_concavity_verdicts_and_witnesses_on_corpus(corpus, monkeypatch):
     for g in corpus:
         solve(g)
     assert counts["refuted"] > counts["by parts"] > 0
+
+
+def test_empty_interior_is_an_invariant_violation():
+    # {1, 2} of the path 0-1-2-3 is all border; no family member may be,
+    # so classifying it is a solver bug (exit 2), not a user error
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(SolverInvariantError, match="empty interior"):
+        solver._classify(g, solver._member(g, 0b110, 0))
