@@ -27,7 +27,8 @@ On one core (Python 3.11) the corpus mode takes about 3 s on
 ``tests/data/connected_le7.g6`` and about 50 s on
 ``tests/data/connected_8.g6``, and ``--random 10000`` about 40 s.
 
-Exits non-zero on any discrepancy.  Typical use:
+Exits non-zero on any discrepancy, and with a usage error on a corpus
+with no graph, a negative --random or a --max-n below 2.  Typical use:
 
   python scripts/oracle_sweep.py --corpus tests/data/connected_le7.g6
   python scripts/oracle_sweep.py --random 10000 --max-n 9
@@ -123,6 +124,13 @@ def main() -> int:
     ap.add_argument("--max-n", type=int, default=9)
     ap.add_argument("--seed", type=int, default=31337)
     args = ap.parse_args()
+    # a gate that checks nothing must not pass
+    if args.random < 0:
+        ap.error("--random must be at least 0")
+    if args.max_n < 2:
+        ap.error("--max-n must be at least 2")
+    if args.corpus and not Path(args.corpus).read_text().split():
+        ap.error(f"no graph in {args.corpus}")
     bad = 0
     if args.corpus:
         bad += sweep_corpus(args.corpus)

@@ -407,7 +407,10 @@ def _cmd_gen(args) -> int:
     text = to_edge_list(g)
     out.payload = {"model": args.model, "n": g.n, "m": g.m, "out": args.out or "-"}
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise GraphError(f"cannot write {args.out}: {exc}") from None
     elif args.format == "json":
         # the edge list rides inside the one JSON document
         out.payload["edge_list"] = text

@@ -24,8 +24,8 @@ its border.
 Every vertex set in the solver is an int mask, bit v standing for vertex
 v, on the graph's ``IntervalKernel``.  Frozensets appear only in the
 ``HullResult`` and at the pair scan's calls to ``toll_interval``.  Each
-selection rule yields its picks, as masks, in a fixed order, and the
-solver takes the first pick of the first rule that yields one.
+selection rule is a mask of candidates, and each arm takes the least
+vertex of its first rule with one; the pair rules take the least pair.
 
 A member found not t-concave keeps its witness: a non-adjacent pair with
 no vertex in the interior whose toll interval meets the interior.  Merges
@@ -45,7 +45,6 @@ number; the type-3 members are exactly the toll extreme vertices.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations
@@ -57,6 +56,7 @@ from .atoms import AtomDecomposition, atoms
 # here, and the pair scan calls toll_interval through it, until the solver
 # records its own counts; fast_concavity_test itself is no longer called
 from .convexity import (
+    IntervalKernel,
     _mask_of,
     _members,
     fast_concavity_test,
@@ -152,16 +152,6 @@ class _Member:
         return self.mask & ~self.border
 
 
-@dataclass(frozen=True)
-class ChoiceContext:
-    """Merge-step bindings: the triggering member, the merged member, and
-    the members folded into it, ordered by their sorted vertices."""
-
-    f_circ: _Member
-    f_bullet: _Member
-    members: tuple[_Member, ...]
-
-
 _by_key = attrgetter("key")
 
 
@@ -200,138 +190,92 @@ class _Index:
 
 # -- selection rules ---------------------------------------------------------
 #
-# Each rule yields its picks in ascending order: single vertices 1 << u by
-# u, pairs by their lesser vertex and then the greater.
+# Each rule is a mask of candidate vertices, and an arm takes the least
+# vertex of its first rung with a candidate.  Rules 4, 5 and 6 pick a pair
+# instead: the least by its lesser vertex and then the greater.
 
 
-def _type1_candidates(g: Graph, b: _Member, strong: bool) -> Iterator[int]:
-    """Interior vertices missing a border neighbor, ascending.
+def _type1(k: IntervalKernel, b: _Member) -> tuple[int, int]:
+    """Rule 1's candidates in a member's interior, strong and weak.
 
-    The strong form additionally demands, for every connected component H
-    of the graph outside the block, a border vertex non-adjacent to the
-    candidate with a neighbor in H.  That keeps the whole interior
-    absorbable into a hull started from the candidate and any one vertex
-    beyond the block, whichever side it lies on.
+    Weak: the interior vertices missing a border neighbor.  Strong: those
+    that also miss, for every connected component H of the graph outside
+    the member, a border vertex with a neighbor in H.  That keeps the
+    whole interior absorbable into a hull started from the candidate and
+    any one vertex beyond the member, whichever side it lies on.
     """
-    k = interval_kernel(g)
     anchor_sets = []
-    if strong:
-        rest = k.full & ~b.mask
-        while rest:
-            comp, touched = k.flood(rest, rest & -rest)
-            anchor_sets.append(touched & b.border)
-            rest &= ~comp
+    rest = k.full & ~b.mask
+    while rest:
+        comp, touched = k.flood(rest, rest & -rest)
+        anchor_sets.append(touched & b.border)
+        rest &= ~comp
+    strong = weak = 0
     for u in _members(b.interior):
-        if b.border & ~k.adj[u] and all(a & ~k.adj[u] for a in anchor_sets):
-            yield u
+        if b.border & ~k.adj[u]:
+            weak |= 1 << u
+            if all(a & ~k.adj[u] for a in anchor_sets):
+                strong |= 1 << u
+    return strong, weak
 
 
-def choice_1(g: Graph, ctx: ChoiceContext, strong: bool = True) -> Iterator[int]:
-    """Type-1 pick: an interior vertex of the target block that misses a
-    border neighbor on every side of the block."""
-    for u in _type1_candidates(g, ctx.f_bullet, strong):
-        yield 1 << u
+def _split(parts, border: int) -> int:
+    """Rule 3's filter: the interiors of the merged members F1 for which a
+    different merged member contains the whole merged border."""
+    holders = [m for m in parts if not border & ~m.mask]
+    split = 0
+    for m in parts:
+        if any(h is not m for h in holders):
+            split |= m.interior
+    return split
 
 
-def choice_2(g: Graph, ctx: ChoiceContext, strong: bool = True) -> Iterator[int]:
-    """Choice-3 vertices that also miss a neighbor in the border of the
-    triggering member."""
-    return _missing_circ(g, ctx, choice_3(g, ctx, strong))
+def _missing(k: IntervalKernel, circ: int, cands: int) -> int:
+    """Rules 2 and 7's filter: the candidates missing a neighbor in the
+    triggering border ``circ``."""
+    return _mask_of(u for u in _members(cands) if circ & ~k.adj[u] & ~(1 << u))
 
 
-def choice_3(g: Graph, ctx: ChoiceContext, strong: bool = True) -> Iterator[int]:
-    """Choice-1 vertices that sit in the interior of one merged member
-    while a different merged member contains the whole merged border."""
-    for u in _type1_candidates(g, ctx.f_bullet, strong):
-        if _has_split_pair(ctx, u):
-            yield 1 << u
-
-
-def _has_split_pair(ctx: ChoiceContext, u: int) -> bool:
-    """u lies in the interior of some merged member F1 while a different
-    merged member F2 contains the merged border."""
-    f1 = next((m for m in ctx.members if m.interior >> u & 1), None)
-    if f1 is None:
-        return False
-    border = ctx.f_bullet.border
-    return any(m is not f1 and not border & ~m.mask for m in ctx.members)
-
-
-def choice_4(g: Graph, ctx: ChoiceContext) -> Iterator[int]:
-    """Non-adjacent interior pairs of the target block."""
-    adj = interval_kernel(g).adj
-    interior = ctx.f_bullet.interior
+def _interior_pair(k: IntervalKernel, interior: int) -> int:
+    """Rule 4: the least non-adjacent pair of an interior, or 0."""
     for a in _members(interior):
-        for b in _members(interior & ~adj[a] & -(2 << a)):
-            yield 1 << a | 1 << b
+        rest = interior & ~k.adj[a] & -(2 << a)
+        if rest:
+            return 1 << a | rest & -rest
+    return 0
 
 
-def choice_5(g: Graph, ctx: ChoiceContext) -> Iterator[int]:
-    """Non-adjacent pairs inside one merged member's interior, each vertex
-    with a non-neighbor in the triggering border, such that the closed
-    neighborhood of either vertex leaves the other connected to the
-    partner's witness."""
-    return _witnessed_pairs(g, ctx, same=True)
-
-
-def choice_6(g: Graph, ctx: ChoiceContext) -> Iterator[int]:
-    """Like choice_5 but the two vertices come from the interiors of two
-    different merged members."""
-    return _witnessed_pairs(g, ctx, same=False)
-
-
-def _witnessed_pairs(g: Graph, ctx: ChoiceContext, same: bool) -> Iterator[int]:
-    """The non-adjacent pairs a < b of merged-interior vertices, lying in
-    one member's interior when ``same`` and in two members' otherwise,
-    such that each of a, b has a non-neighbor in the triggering border
+def _witnessed_pair(k: IntervalKernel, parts, circ: int) -> tuple[int, str]:
+    """Rule 5's pair, or failing that rule 6's, with its label: the least
+    non-adjacent pair a < b of merged-interior vertices, lying in one
+    member's interior for rule 5 and in two members' for rule 6, such that
+    each of a, b has a non-neighbor in the triggering border ``circ``
     inside the other's component of G - N[itself]."""
-    k = interval_kernel(g)
-    circ = ctx.f_circ.border
     # member interiors are pairwise disjoint (a family law), so each vertex
     # has one owner
-    owner = {v: i for i, m in enumerate(ctx.members) for v in _members(m.interior)}
+    owner = {v: i for i, m in enumerate(parts) for v in _members(m.interior)}
     pool = _mask_of(owner)
-    for a in _members(pool):
-        # the side of a maps b to its component of G - N[a] plus neighbors
-        # of a; masking those neighbors off leaves the component
-        for b in _members(pool & ~k.adj[a] & -(2 << a)):
-            if (owner[a] == owner[b]) != same:
-                continue
-            if k.side(a)[b] & circ & ~k.adj[a] and k.side(b)[a] & circ & ~k.adj[b]:
-                yield 1 << a | 1 << b
+    for same, label in ((True, "choice_5"), (False, "choice_6")):
+        for a in _members(pool):
+            # the side of a maps b to its component of G - N[a] plus
+            # neighbors of a; masking those neighbors off leaves the
+            # component
+            for b in _members(pool & ~k.adj[a] & -(2 << a)):
+                if (
+                    (owner[a] == owner[b]) == same
+                    and k.side(a)[b] & circ & ~k.adj[a]
+                    and k.side(b)[a] & circ & ~k.adj[b]
+                ):
+                    return 1 << a | 1 << b, label
+    raise SolverInvariantError("choice_6 found no candidate")
 
 
-def choice_7(g: Graph, ctx: ChoiceContext, f1: _Member) -> Iterator[int]:
-    """Choice-8 vertices that miss a neighbor in the triggering border."""
-    return _missing_circ(g, ctx, choice_8(g, ctx, f1))
-
-
-def choice_8(g: Graph, ctx: ChoiceContext, f1: _Member) -> Iterator[int]:
-    """Any interior vertex of a merged member other than f1."""
-    pool = 0
-    for m in ctx.members:
-        if m.mask != f1.mask:
-            pool |= m.interior
-    for u in _members(pool):
-        yield 1 << u
-
-
-def _missing_circ(g: Graph, ctx: ChoiceContext, picks: Iterator[int]) -> Iterator[int]:
-    """The single-vertex picks that miss a neighbor in the triggering
-    border."""
-    adj = interval_kernel(g).adj
-    circ = ctx.f_circ.border
-    return (p for p in picks if circ & ~adj[p.bit_length() - 1] & ~p)
-
-
-def _first(rungs: list[tuple[str, Iterator[int]]]) -> tuple[int, str]:
-    """The first pick of the first rung that yields one, with the rung's
-    label.  Rungs are tried in order, and a rung runs only until its first
-    pick."""
-    for label, picks in rungs:
-        pick = next(picks, None)
-        if pick is not None:
-            return pick, label
+def _least(*rungs: tuple[str, int]) -> tuple[int, str]:
+    """The least vertex of the first non-empty rung, as a mask, with the
+    rung's label."""
+    for label, cands in rungs:
+        if cands:
+            return cands & -cands, label
     raise SolverInvariantError(f"{rungs[-1][0]} found no candidate")
 
 
@@ -465,18 +409,17 @@ def _solve_reducible(g: Graph, dec: AtomDecomposition) -> HullResult:
         raise SolverInvariantError("reducible graph with fewer than two extremal atoms")
 
     s = 0  # the hull set
+    k = interval_kernel(g)
 
     for mem in sorted(index.members, key=_by_key):
         if not mem.concave:
             continue
-        ctx = ChoiceContext(f_circ=mem, f_bullet=mem, members=(mem,))
         if mem.ctype == TYPE1:
-            pick, label = _first([
-                ("choice_1", choice_1(g, ctx)),
-                ("choice_1-weak", choice_1(g, ctx, strong=False)),
-            ])
+            strong, weak = _type1(k, mem)
+            pick, label = _least(("choice_1", strong), ("choice_1-weak", weak))
         elif mem.ctype == TYPE2:
-            pick, label = _first([("choice_4", choice_4(g, ctx))])
+            # a type-2 interior is not a clique, so it holds a pair
+            pick, label = _interior_pair(k, mem.interior), "choice_4"
         else:
             pick, label = mem.interior, "type3"
         mem.chosen = pick
@@ -563,51 +506,47 @@ def _apply_merge_choice(g, target, parts, new_member, s, entry) -> int:
         raise SolverInvariantError("merged concave member of type other than 1")
     if i == TYPE1 and k > 1:
         raise SolverInvariantError("type-1 merge with two concave members")
-    ctx = ChoiceContext(
-        f_circ=target,
-        f_bullet=new_member,
-        members=tuple(sorted(parts, key=_by_key)),
-    )
+    kern = interval_kernel(g)
+    circ = target.border
     entry["k"] = k
 
     if i == TYPE1 and k == 0:
-        pick, label = _first([
-            ("choice_2", choice_2(g, ctx)),
-            ("choice_3", choice_3(g, ctx)),
+        strong, weak = _type1(kern, new_member)
+        split = _split(parts, new_member.border)
+        pick, label = _least(
+            ("choice_2", _missing(kern, circ, strong & split)),
+            ("choice_3", strong & split),
             # the structural clause can exclude every vertex with border
             # witnesses on all sides; those witnesses outrank the clause
-            ("choice_1-fallback", choice_1(g, ctx)),
-            ("choice_2-weak", choice_2(g, ctx, strong=False)),
-            ("choice_3-weak", choice_3(g, ctx, strong=False)),
-        ])
+            ("choice_1-fallback", strong),
+            ("choice_2-weak", _missing(kern, circ, weak & split)),
+            ("choice_3-weak", weak & split),
+        )
         chosen = pick
     elif i == TYPE1 and k == 1:
         # the merge may have swallowed the border vertex that justified the
-        # earlier pick; keep it only if choice_1 still yields it on the
-        # merged member
+        # earlier pick; keep it only if it is still a rule-1 candidate of
+        # the rung that fires on the merged member
         f1 = k_members[0]
-        pick, label = _first([
-            ("carried", choice_1(g, ctx)),
-            ("carried-weak", choice_1(g, ctx, strong=False)),
-        ])
-        if f1.chosen in choice_1(g, ctx, strong=label == "carried"):
+        strong, weak = _type1(kern, new_member)
+        pick, label = _least(("carried", strong), ("carried-weak", weak))
+        if f1.chosen & (strong or weak):
             pick = f1.chosen
         else:
             label = "reselected"
             s &= ~f1.chosen
         chosen = pick
     elif i == TYPE2 and k == 0:
-        pick, label = _first([
-            ("choice_5", choice_5(g, ctx)),
-            ("choice_6", choice_6(g, ctx)),
-        ])
+        pick, label = _witnessed_pair(kern, parts, circ)
         chosen = pick
     elif i == TYPE2 and k == 1:
+        # rule 8's candidates: the interiors of the other merged members
         f1 = k_members[0]
-        pick, label = _first([
-            ("choice_7", choice_7(g, ctx, f1)),
-            ("choice_8", choice_8(g, ctx, f1)),
-        ])
+        others = 0
+        for p in parts:
+            if p is not f1:
+                others |= p.interior
+        pick, label = _least(("choice_7", _missing(kern, circ, others)), ("choice_8", others))
         chosen = f1.chosen | pick
     elif i == TYPE2 and k == 2:
         pick, label = 0, "carried"

@@ -307,6 +307,16 @@ def test_gen_text_timing_goes_to_stderr(capsys):
     assert captured.err.startswith("elapsed_ms: ")
 
 
+def test_gen_out_that_cannot_be_written_is_user_error(tmp_path, capsys):
+    argv = ["gen", "--model", "gnp", "--n", "4", "--p", "0.5", "--out"]
+    for target in (tmp_path, tmp_path / "missing" / "gen.txt"):
+        assert run(argv + [str(target)]) == EXIT_USER
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {target}: ")
+        assert captured.err.count("\n") == 1
+
+
 def test_gen_tree_model(capsys):
     assert run(["gen", "--model", "tree", "--n", "8", "--seed", "3"]) == EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()
@@ -415,6 +425,30 @@ def test_cli_contract_holds_on_any_bytes(data):
                 assert code in (EXIT_OK, EXIT_USER), (command, fmt, err)
                 assert piped == code, (command, fmt, err, piped_err)
                 assert "Traceback" not in err + piped_err
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    limit=st.integers(-2, 5),
+    jobs=st.integers(-2, 4),
+    n=st.integers(-2, 30),
+    p=st.floats(allow_nan=True, allow_infinity=True),
+    seed=st.integers(),
+    model=st.sampled_from(("gnp", "tree", "complete", "cycle")),
+)
+def test_cli_contract_holds_on_any_numeric_flag(limit, jobs, n, p, seed, model):
+    # flags as --flag=value, so a negative or infinite value reaches the
+    # command instead of reading as an option; verify's one graph caps its
+    # pool at one process, so no worker starts
+    runs = (
+        (["enumerate", "-", f"--limit={limit}"], to_edge_list(theta7())),
+        (["verify", "-", f"--jobs={jobs}"], "a b\nb c\nc d\n"),
+        (["gen", f"--model={model}", f"--n={n}", f"--p={p}", f"--seed={seed}"], ""),
+    )
+    for argv, text in runs:
+        code, _, err = captured_run(argv, io.StringIO(text))
+        assert code in (EXIT_OK, EXIT_USER), (argv, err)
+        assert "Traceback" not in err
 
 
 # sha256 over the `hull - --trace --format json --input-format graph6`

@@ -31,6 +31,19 @@ def test_oracle_sweep_corpus_smoke(tmp_path):
     assert "corpus: 23 graphs, 0 discrepancies" in done.stdout
 
 
+def test_oracle_sweep_rejects_empty_inputs(tmp_path):
+    empty = tmp_path / "empty.g6"
+    empty.write_text("\n")
+    for args, message in (
+        (("--corpus", str(empty)), "no graph in"),
+        (("--random", "-5"), "--random must be at least 0"),
+        (("--random", "3", "--max-n", "1"), "--max-n must be at least 2"),
+    ):
+        done = sweep(*args)
+        assert done.returncode == 2, args
+        assert message in done.stderr and "Traceback" not in done.stderr
+
+
 def test_oracle_sweep_counts_failed_checks(monkeypatch, tmp_path, capsys):
     spec = importlib.util.spec_from_file_location("oracle_sweep", SWEEP)
     oracle_sweep = importlib.util.module_from_spec(spec)

@@ -5,7 +5,13 @@ from hypothesis import given, settings
 
 from conftest import connected_graphs, random_trees, vid, vids
 from tollhull import solver
-from tollhull.convexity import extreme_vertices, is_t_concave, toll_hull, toll_interval
+from tollhull.convexity import (
+    extreme_vertices,
+    interval_kernel,
+    is_t_concave,
+    toll_hull,
+    toll_interval,
+)
 from tollhull.enumeration import compare_with_bruteforce, enumerate_min_hull_sets
 from tollhull.graph import (
     Graph,
@@ -23,11 +29,7 @@ from tollhull.solver import (
     TYPE1,
     TYPE2,
     TYPE3,
-    ChoiceContext,
     SolverInvariantError,
-    choice_1,
-    choice_4,
-    choice_5,
     classify_type,
     solve,
 )
@@ -155,26 +157,26 @@ def test_solver_is_deterministic():
 def test_choice_1_on_fig_end_block():
     g = g12()
     m4 = member(g, "v8 v9 v10 v11 v12")
-    ctx = ChoiceContext(f_circ=m4, f_bullet=m4, members=(m4,))
-    assert tuple(choice_1(g, ctx)) == (mask(g, "v11"),)
+    strong, weak = solver._type1(interval_kernel(g), m4)
+    assert strong == weak == mask(g, "v11")
 
 
 def test_choice_4_menu():
     g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 1), (4, 2), (4, 3), (4, 5)])
     wheel = solver._member(g, 0b11111, 0)
-    ctx = ChoiceContext(f_circ=wheel, f_bullet=wheel, members=(wheel,))
-    assert tuple(choice_4(g, ctx)) == (0b101, 0b1010)
+    assert solver._interior_pair(interval_kernel(g), wheel.interior) == 0b101
+    # a clique interior holds no pair
+    assert solver._interior_pair(interval_kernel(g), 0b10001) == 0
 
 
 def test_choice_5_conditions_on_theta():
-    # builds the merge context by hand: the choice-5 conditions single out
-    # the far pair on the three-vertex side
+    # builds the merge by hand, triggered by side_z: the choice-5
+    # conditions single out the far pair on the three-vertex side
     t = theta7()
     side_z = member(t, "s t z1 z2")
     side_p = member(t, "s t p r q")
-    whole = solver._member(t, 0b1111111, 0)
-    ctx = ChoiceContext(f_circ=side_z, f_bullet=whole, members=(side_z, side_p))
-    assert tuple(choice_5(t, ctx)) == (mask(t, "p q"),)
+    pair = solver._witnessed_pair(interval_kernel(t), (side_z, side_p), side_z.border)
+    assert pair == (mask(t, "p q"), "choice_5")
 
 
 def test_family_accessors():
