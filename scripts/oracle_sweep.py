@@ -28,7 +28,8 @@ On one core (Python 3.11) the corpus mode takes about 3 s on
 ``tests/data/connected_8.g6``, and ``--random 10000`` about 40 s.
 
 Exits non-zero on any discrepancy, and with a usage error on a corpus
-with no graph, a negative --random or a --max-n below 2.  Typical use:
+that cannot be read (missing, a directory, bytes that do not decode) or
+holds no graph, a negative --random or a --max-n below 2.  Typical use:
 
   python scripts/oracle_sweep.py --corpus tests/data/connected_le7.g6
   python scripts/oracle_sweep.py --random 10000 --max-n 9
@@ -43,8 +44,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from tollhull.cli import check  # noqa: E402
-from tollhull.graph import Graph, parse_graph6_file  # noqa: E402
+from tollhull.cli import _read_text, check  # noqa: E402
+from tollhull.graph import Graph, GraphError, parse_graph6_file  # noqa: E402
 from tollhull.solver import solve  # noqa: E402
 
 
@@ -74,7 +75,7 @@ def print_census(rules: Counter) -> None:
 
 
 def sweep_corpus(path: str) -> int:
-    graphs = parse_graph6_file(Path(path).read_text())
+    graphs = parse_graph6_file(_read_text(path))
     bad = 0
     enumerations = {"complete": 0, "incomplete": 0}
     rules: Counter = Counter()
@@ -129,8 +130,13 @@ def main() -> int:
         ap.error("--random must be at least 0")
     if args.max_n < 2:
         ap.error("--max-n must be at least 2")
-    if args.corpus and not Path(args.corpus).read_text().split():
-        ap.error(f"no graph in {args.corpus}")
+    if args.corpus:
+        try:
+            text = _read_text(args.corpus)
+        except GraphError as exc:
+            ap.error(str(exc))
+        if not text.split():
+            ap.error(f"no graph in {args.corpus}")
     bad = 0
     if args.corpus:
         bad += sweep_corpus(args.corpus)

@@ -23,6 +23,9 @@ time against the size before it; on a doubling grid that is log2 of the
 time ratio.
 
   python scripts/timing_scaling.py --families --sizes 150,300,600,1200,2400 --repeats 1
+
+Sizes that are not integers or do not ascend from 1 (4 with --families),
+a --p outside (0, 1] and a --repeats below 1 are usage errors (exit 2).
 """
 import argparse
 import math
@@ -116,13 +119,27 @@ def main() -> int:
     ap.add_argument("--families", action="store_true",
                     help="time the perfbench reducible families instead of gnp graphs")
     ap.add_argument("--sizes", default=None,
-                    help="comma-separated vertex counts (default 50,100,200,400, "
+                    help="comma-separated vertex counts, ascending, each at least 1, "
+                         "or 4 with --families (default 50,100,200,400, "
                          "or 150,300,600,1200,2400 with --families)")
-    ap.add_argument("--p", type=float, default=0.1)
+    ap.add_argument("--p", type=float, default=0.1,
+                    help="edge probability of the gnp graphs, in (0, 1]")
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
     default = "150,300,600,1200,2400" if args.families else "50,100,200,400"
-    sizes = [int(tok) for tok in (args.sizes or default).split(",")]
+    try:
+        sizes = [int(tok) for tok in (args.sizes or default).split(",")]
+    except ValueError:
+        ap.error(f"--sizes must be comma-separated integers, got {args.sizes!r}")
+    least = 4 if args.families else 1  # a chain of prime blocks needs 4
+    if sizes[0] < least or any(a >= b for a, b in zip(sizes, sizes[1:])):
+        ap.error(f"--sizes must ascend from at least {least}, got {args.sizes!r}")
+    # p = 0 leaves every graph on two or more vertices disconnected, and
+    # the search for a connected one would never end
+    if not 0 < args.p <= 1:
+        ap.error(f"--p must be in (0, 1], got {args.p}")
+    if args.repeats < 1:
+        ap.error(f"--repeats must be at least 1, got {args.repeats}")
     if args.families:
         run_families(sizes, args.repeats)
     else:

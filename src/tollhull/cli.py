@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Every subcommand reads one graph (edge-list or graph6, file or "-" for
-stdin), computes, and prints either stable line-oriented text or a single
-JSON document.  Vertex names are echoed exactly as they appeared in the
-input; internal ids never leak.  Identical inputs produce byte-identical
-outputs unless --timing is given.  ``gen`` in text mode prints its timing
-line to stderr, so that stdout stays a parseable edge list.
+Six subcommands read one graph (edge-list or graph6, file or "-" for
+stdin) through one driver, ``verify`` a file or directory of graphs and
+``gen`` none.  Each prints stable text or one JSON document, echoes
+vertex names as given (internal ids never leak) and takes only the flags
+it reads.  Identical inputs give byte-identical outputs unless --timing
+is given; ``gen``'s text timing line goes to stderr, so that stdout stays
+a parseable edge list.
 
 Exit status: 0 success, 1 bad input or flags, 2 internal invariant
 violation (a bug, never a user error), 3 oracle disagreement in verify.
@@ -39,8 +40,6 @@ from .enumeration import (
 from .graph import (
     Graph,
     GraphError,
-    ParseError,
-    SizeLimitError,
     generate,
     parse_edge_list,
     parse_graph,
@@ -84,78 +83,50 @@ def _read_text(path: str) -> str:
         raise GraphError(f"cannot read {path}: {exc}") from None
 
 
-def _load_graph(path: str, fmt: str) -> Graph:
-    return parse_graph(_read_text(path), fmt)
-
-
-def _digest(g: Graph) -> dict:
-    canon = "\n".join(f"{g.labels[u]} {g.labels[v]}" for u, v in g.edges())
-    return {
-        "n": g.n,
-        "m": g.m,
-        "sha256": hashlib.sha256(canon.encode()).hexdigest(),
-    }
-
-
 def _labels(g: Graph, vs) -> list[str]:
     return [g.labels[v] for v in sorted(vs)]
 
 
 def _relabel_trace(g: Graph, trace) -> list:
+    """The trace with vertex labels for ids: every list in a trace entry,
+    at any depth, holds vertex ids."""
     def conv(value):
-        if isinstance(value, list):
-            return [conv(v) for v in value]
-        if isinstance(value, int) and not isinstance(value, bool):
-            return g.labels[value]
-        return value
+        return [conv(v) for v in value] if isinstance(value, list) else g.labels[value]
 
-    out = []
-    keys = {"member", "f_circ", "f_bullet", "chosen", "pair", "f_prime", "m_prime"}
-    for entry in trace:
-        out.append({k: (conv(v) if k in keys else v) for k, v in entry.items()})
-    return out
+    return [
+        {k: conv(v) if isinstance(v, list) else v for k, v in entry.items()}
+        for entry in trace
+    ]
 
 
-class _Emitter:
-    """Collects the result payload and prints it in the chosen format."""
-
-    def __init__(self, command: str, g: Graph | None, args):
-        self.command = command
-        self.graph = g
-        self.fmt = args.format
-        self.timing = args.timing
-        self.started = time.perf_counter()
-        self.text_lines: list[str] = []
-        self.payload: dict = {}
-        self.trace = None
-
-    def emit(self) -> None:
-        if self.fmt == "json":
-            doc = {"command": self.command}
-            if self.graph is not None:
-                doc["input"] = _digest(self.graph)
-            doc["result"] = self.payload
-            if self.trace is not None:
-                doc["trace"] = self.trace
-            if self.timing:
-                doc["elapsed_ms"] = round(self.elapsed_ms(), 3)
-            print(json.dumps(doc, indent=2))
-        else:
-            for line in self.text_lines:
-                print(line)
-            if self.trace is not None:
-                for entry in self.trace:
-                    print(f"trace: {json.dumps(entry)}")
-            if self.timing:
-                print(f"elapsed_ms: {self.elapsed_ms():.3f}")
-
-    def elapsed_ms(self) -> float:
-        return (time.perf_counter() - self.started) * 1000
+def _emit(args, doc: dict, lines: list[str], started: float) -> None:
+    """Print a command's document: as JSON, with the graph under ``input``
+    replaced by its digest, or as its text lines followed by one line per
+    trace entry.  --timing adds the time since ``started``; ``gen``'s text
+    timing line goes to stderr, since stdout may be the edge list."""
+    if args.format == "json":
+        if "input" in doc:
+            g = doc["input"]
+            canon = "\n".join(f"{g.labels[u]} {g.labels[v]}" for u, v in g.edges())
+            sha256 = hashlib.sha256(canon.encode()).hexdigest()
+            doc["input"] = {"n": g.n, "m": g.m, "sha256": sha256}
+        if args.timing:
+            doc["elapsed_ms"] = round((time.perf_counter() - started) * 1000, 3)
+        print(json.dumps(doc, indent=2))
+        return
+    if lines:
+        print("\n".join(lines))
+    for entry in doc.get("trace", ()):
+        print(f"trace: {json.dumps(entry)}")
+    if args.timing:
+        out = sys.stderr if doc["command"] == "gen" else sys.stdout
+        print(f"elapsed_ms: {(time.perf_counter() - started) * 1000:.3f}", file=out)
 
 
-def _cmd_hull(args) -> int:
-    g = _load_graph(args.file, args.input_format)
-    out = _Emitter("hull", g, args)
+# Each one-graph command computes (payload, text lines, trace or None).
+
+
+def _hull(g: Graph, args):
     result = solve(g)
     family = [
         {
@@ -166,7 +137,7 @@ def _cmd_hull(args) -> int:
         }
         for b in result.family
     ]
-    out.payload = {
+    payload = {
         "hull_number": result.hull_number,
         "hull_set": _labels(g, result.hull_set),
         "prime": result.prime,
@@ -174,88 +145,80 @@ def _cmd_hull(args) -> int:
         "family": family,
         "extreme_vertices": _labels(g, result.extreme_vertices),
     }
-    out.text_lines.append(f"hull_number: {result.hull_number}")
-    out.text_lines.append("hull_set: " + " ".join(_labels(g, result.hull_set)))
-    for b in family:
-        out.text_lines.append(
+    lines = [
+        f"hull_number: {result.hull_number}",
+        "hull_set: " + " ".join(payload["hull_set"]),
+        *(
             f"family: {{{' '.join(b['vertices'])}}} type={b['type']}"
             f" granularity={b['granularity']} chosen={{{' '.join(b['chosen'])}}}"
-        )
-    out.text_lines.append(
-        "extreme_vertices: " + " ".join(_labels(g, result.extreme_vertices))
-    )
-    if args.trace:
-        out.trace = _relabel_trace(g, result.trace)
-    out.emit()
-    return EXIT_OK
+            for b in family
+        ),
+        "extreme_vertices: " + " ".join(payload["extreme_vertices"]),
+    ]
+    trace = _relabel_trace(g, result.trace) if args.trace else None
+    return payload, lines, trace
 
 
-def _cmd_atoms(args) -> int:
-    g = _load_graph(args.file, args.input_format)
-    out = _Emitter("atoms", g, args)
+def _atoms(g: Graph, args):
     dec = atoms(g)
-    out.payload = {
+    payload = {
         "atoms": [_labels(g, a) for a in dec.atoms],
         "extremal": list(dec.extremal_flags),
     }
-    for a, flag in zip(dec.atoms, dec.extremal_flags):
-        mark = "extremal" if flag else "-"
-        out.text_lines.append(f"atom: {{{' '.join(_labels(g, a))}}} {mark}")
-    out.emit()
-    return EXIT_OK
+    lines = [
+        f"atom: {{{' '.join(a)}}} {'extremal' if flag else '-'}"
+        for a, flag in zip(payload["atoms"], dec.extremal_flags)
+    ]
+    return payload, lines, None
 
 
-def _cmd_interval(args) -> int:
-    g = _load_graph(args.file, args.input_format)
-    out = _Emitter("interval", g, args)
-    x, y = g.id_of(args.x), g.id_of(args.y)
-    iv = toll_interval(g, x, y)
-    out.payload = {"x": args.x, "y": args.y, "interval": _labels(g, iv)}
-    out.text_lines.append("interval: " + " ".join(_labels(g, iv)))
-    out.emit()
-    return EXIT_OK
+def _interval(g: Graph, args):
+    iv = _labels(g, toll_interval(g, g.id_of(args.x), g.id_of(args.y)))
+    return {"x": args.x, "y": args.y, "interval": iv}, ["interval: " + " ".join(iv)], None
 
 
-def _cmd_closure(args) -> int:
-    g = _load_graph(args.file, args.input_format)
-    out = _Emitter("closure", g, args)
+def _closure(g: Graph, args):
     seed = [g.id_of(tok) for tok in args.set.split(",") if tok]
     if not seed:
         raise GraphError("--set needs at least one vertex label")
     hull = toll_hull(g, seed)
-    out.payload = {
-        "set": [g.labels[v] for v in sorted(set(seed))],
+    payload = {
+        "set": _labels(g, set(seed)),
         "hull": _labels(g, hull),
         "is_hull_set": len(hull) == g.n,
     }
-    out.text_lines.append("hull: " + " ".join(_labels(g, hull)))
-    out.text_lines.append(f"is_hull_set: {str(len(hull) == g.n).lower()}")
-    out.emit()
-    return EXIT_OK
+    lines = [
+        "hull: " + " ".join(payload["hull"]),
+        f"is_hull_set: {str(payload['is_hull_set']).lower()}",
+    ]
+    return payload, lines, None
 
 
-def _cmd_extreme(args) -> int:
-    g = _load_graph(args.file, args.input_format)
-    out = _Emitter("extreme", g, args)
-    ext = extreme_vertices(g)
-    out.payload = {"extreme_vertices": _labels(g, ext)}
-    out.text_lines.append("extreme_vertices: " + " ".join(_labels(g, ext)))
-    out.emit()
-    return EXIT_OK
+def _extreme(g: Graph, args):
+    ext = _labels(g, extreme_vertices(g))
+    return {"extreme_vertices": ext}, ["extreme_vertices: " + " ".join(ext)], None
 
 
-def _cmd_enumerate(args) -> int:
-    g = _load_graph(args.file, args.input_format)
-    out = _Emitter("enumerate", g, args)
+def _enumerate(g: Graph, args):
+    # text streams each set as it is found; json collects them
     sets = []
     for s in enumerate_min_hull_sets(g, limit=args.limit):
         if args.format == "text":
             print(json.dumps(_labels(g, s)))
         else:
             sets.append(_labels(g, s))
-    if args.format == "json":
-        out.payload = {"sets": sets, "count": len(sets)}
-    out.emit()
+    return {"sets": sets, "count": len(sets)}, [], None
+
+
+def _cmd_graph(args) -> int:
+    """Run a one-graph command: parse the input, then time the compute."""
+    g = parse_graph(_read_text(args.file), args.input_format)
+    started = time.perf_counter()
+    payload, lines, trace = args.compute(g, args)
+    doc = {"command": args.command, "input": g, "result": payload}
+    if trace is not None:
+        doc["trace"] = trace
+    _emit(args, doc, lines, started)
     return EXIT_OK
 
 
@@ -330,11 +293,12 @@ def _verify_one(g: Graph) -> dict:
     return check(g, solve(g))
 
 
-def _verify_jobs(text: str, fmt: str, name: str | None) -> list[tuple[str, Graph]]:
-    """(name, graph) for each non-blank graph6 line of the text, or for its
+def _verify_jobs(path: str, fmt: str, name: str | None) -> list[tuple[str, Graph]]:
+    """(name, graph) for each non-blank graph6 line of the file, or for its
     one edge list.  A file of a directory sweep passes its name, giving
     ``<file>:<i>`` and ``<file>``; a single input passes None, giving
     ``line:<i>`` and ``input``."""
+    text = _read_text(path)
     if fmt == "graph6":
         prefix = "line" if name is None else name
         return [
@@ -348,38 +312,37 @@ def _verify_jobs(text: str, fmt: str, name: str | None) -> list[tuple[str, Graph
 def _cmd_verify(args) -> int:
     if args.jobs < 0:
         raise GraphError(f"--jobs must not be negative, got {args.jobs}")
-    path = Path(args.file) if args.file != "-" else None
-    out = _Emitter("verify", None, args)
-    if path is not None and path.is_dir():
-        files = sorted(
-            p for p in path.iterdir() if p.suffix in (".txt", ".g6", ".el")
-        )
-        jobs = []
-        for p in files:
-            fmt = "graph6" if p.suffix == ".g6" else "edge-list"
-            jobs += _verify_jobs(_read_text(str(p)), fmt, p.name)
+    started = time.perf_counter()
+    if args.file != "-" and Path(args.file).is_dir():
+        formats = {".txt": "edge-list", ".el": "edge-list", ".g6": "graph6"}
+        jobs = [
+            job
+            for p in sorted(Path(args.file).iterdir()) if p.suffix in formats
+            for job in _verify_jobs(str(p), formats[p.suffix], p.name)
+        ]
     else:
-        jobs = _verify_jobs(_read_text(args.file), args.input_format, None)
+        jobs = _verify_jobs(args.file, args.input_format, None)
     if not jobs:
         raise GraphError(f"no graphs to verify in {args.file}")
     reports = _run_verify_jobs(jobs, args.jobs)
     ok = all(r["agreement"] for _, r in reports)
-    out.payload = {
+    payload = {
         "graphs": len(reports),
         "agreement": ok,
         "reports": [dict(r, name=name) for name, r in reports],
     }
+    lines = []
     for name, r in reports:
         status = "ok" if r["agreement"] else "MISMATCH"
         oracle = r.get("oracle_hull_number")
-        out.text_lines.append(
+        lines.append(
             f"{name}: solver={r['solver_hull_number']}"
             f" oracle={oracle if oracle is not None else 'skipped'}"
             f" closure={'ok' if r['closure_ok'] else 'FAIL'} {status}"
             + "".join(f" {m}" for m in r.get("mismatches", ()))
         )
-    out.text_lines.append(f"agreement: {str(ok).lower()}")
-    out.emit()
+    lines.append(f"agreement: {str(ok).lower()}")
+    _emit(args, {"command": "verify", "result": payload}, lines, started)
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
@@ -402,10 +365,11 @@ def _run_verify_jobs(jobs, workers):
 
 
 def _cmd_gen(args) -> int:
-    out = _Emitter("gen", None, args)
-    g = out.graph = generate(args.model, args.n, args.p, args.seed)
+    started = time.perf_counter()
+    g = generate(args.model, args.n, args.p, args.seed)
     text = to_edge_list(g)
-    out.payload = {"model": args.model, "n": g.n, "m": g.m, "out": args.out or "-"}
+    payload = {"model": args.model, "n": g.n, "m": g.m, "out": args.out or "-"}
+    lines = [] if args.out else text.splitlines()  # json prints no lines
     if args.out:
         try:
             Path(args.out).write_text(text)
@@ -413,15 +377,30 @@ def _cmd_gen(args) -> int:
             raise GraphError(f"cannot write {args.out}: {exc}") from None
     elif args.format == "json":
         # the edge list rides inside the one JSON document
-        out.payload["edge_list"] = text
-    else:
-        sys.stdout.write(text)
-    if args.format == "json":
-        out.emit()
-    elif args.timing:
-        # stdout may be the edge list, which a timing line would break
-        print(f"elapsed_ms: {out.elapsed_ms():.3f}", file=sys.stderr)
+        payload["edge_list"] = text
+    doc = {"command": "gen", "input": g, "result": payload}
+    _emit(args, doc, lines, started)
     return EXIT_OK
+
+
+# name: (compute, help, options beyond the input and output ones)
+GRAPH_COMMANDS = {
+    "hull": (_hull, "minimum toll hull set", {
+        "--trace": {"action": "store_true", "help": "include the solver trace"},
+    }),
+    "atoms": (_atoms, "maximal prime subgraphs", {}),
+    "interval": (_interval, "toll interval of two vertices", {
+        "--x": {"required": True, "help": "first endpoint label"},
+        "--y": {"required": True, "help": "second endpoint label"},
+    }),
+    "closure": (_closure, "toll convex hull of a set", {
+        "--set": {"required": True, "help": "comma-separated vertex labels"},
+    }),
+    "extreme": (_extreme, "toll extreme vertices", {}),
+    "enumerate": (_enumerate, "stream minimum hull sets", {
+        "--limit": {"type": int, "default": None, "help": "stop after N sets"},
+    }),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -432,55 +411,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument(
         "--format", choices=("text", "json"), default="text",
         help="output format (default text)",
     )
-    common.add_argument(
+    output.add_argument("--timing", action="store_true", help="append elapsed time")
+    graph_input = argparse.ArgumentParser(add_help=False, parents=[output])
+    graph_input.add_argument("file")
+    graph_input.add_argument(
         "--input-format", choices=("edge-list", "graph6"), default="edge-list",
         help="input graph encoding (default edge-list)",
     )
-    common.add_argument("--trace", action="store_true", help="include the solver trace")
-    common.add_argument("--timing", action="store_true", help="append elapsed time")
 
-    p = sub.add_parser("hull", parents=[common], help="minimum toll hull set")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_hull)
-
-    p = sub.add_parser("atoms", parents=[common], help="maximal prime subgraphs")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_atoms)
-
-    p = sub.add_parser("interval", parents=[common], help="toll interval of two vertices")
-    p.add_argument("file")
-    p.add_argument("--x", required=True, help="first endpoint label")
-    p.add_argument("--y", required=True, help="second endpoint label")
-    p.set_defaults(func=_cmd_interval)
-
-    p = sub.add_parser("closure", parents=[common], help="toll convex hull of a set")
-    p.add_argument("file")
-    p.add_argument("--set", required=True, help="comma-separated vertex labels")
-    p.set_defaults(func=_cmd_closure)
-
-    p = sub.add_parser("extreme", parents=[common], help="toll extreme vertices")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_extreme)
-
-    p = sub.add_parser("enumerate", parents=[common], help="stream minimum hull sets")
-    p.add_argument("file")
-    p.add_argument("--limit", type=int, default=None, help="stop after N sets")
-    p.set_defaults(func=_cmd_enumerate)
+    for name, (compute, help_text, options) in GRAPH_COMMANDS.items():
+        p = sub.add_parser(name, parents=[graph_input], help=help_text)
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=_cmd_graph, compute=compute)
 
     p = sub.add_parser(
-        "verify", parents=[common],
+        "verify", parents=[graph_input],
         help="cross-check the solver against brute force (file or directory)",
     )
-    p.add_argument("file")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("gen", parents=[common], help="generate a test graph")
+    p = sub.add_parser("gen", parents=[output], help="generate a test graph")
     p.add_argument("--model", required=True, choices=("gnp", "tree", "complete", "cycle"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, default=None, help="edge probability for gnp")
@@ -499,7 +456,7 @@ def run(argv) -> int:
         return EXIT_USER if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (SizeLimitError, ParseError, GraphError) as exc:
+    except GraphError as exc:  # ParseError and SizeLimitError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
     except MemoryError:

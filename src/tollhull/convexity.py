@@ -262,8 +262,6 @@ def toll_interval(g: Graph, x: int, y: int) -> frozenset[int]:
     if x == y:
         raise GraphError("toll interval endpoints must differ")
     _require_connected(g)
-    if y in g.adj[x]:
-        return frozenset({x, y})
     return frozenset(_members(interval_kernel(g).interval(x, y)))
 
 

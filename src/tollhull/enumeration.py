@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from .convexity import interval_kernel, toll_hull
+from .convexity import _mask_of, interval_kernel, toll_hull
 from .graph import Graph, GraphError
 from .oracles import bf_all_min_hull_sets
 from .solver import CharacteristicBlock, HullResult, solve
@@ -44,7 +44,7 @@ def _candidates(g: Graph, result: HullResult) -> Iterator[frozenset[int]]:
             if v not in g.adj[u]:
                 yield frozenset({u, v})
     else:
-        s_star = sum(1 << v for v in result.hull_set)
+        s_star = _mask_of(result.hull_set)
         sources = [_options(g, s_star, b) for b in result.family]
         for combo in _lazy_product(sources):
             yield frozenset().union(*combo)
@@ -54,9 +54,9 @@ def _options(g: Graph, s_star: int, b: CharacteristicBlock) -> Iterator[frozense
     """The ``granularity``-subsets of b that close to V in place of b's
     pick in S*, in lexicographic order."""
     k = interval_kernel(g)
-    rest = s_star & ~sum(1 << v for v in b.chosen)
+    rest = s_star & ~_mask_of(b.chosen)
     for option in combinations(sorted(b.vertices), b.granularity):
-        if k.hull(rest | sum(1 << v for v in option)) == k.full:
+        if k.hull(rest | _mask_of(option)) == k.full:
             yield frozenset(option)
 
 

@@ -114,6 +114,10 @@ class CharacteristicBlock:
 
 @dataclass(frozen=True)
 class HullResult:
+    """``trace`` has one entry per solver step.  Every list in an entry holds
+    vertex ids (a merge's ``f_prime`` and ``m_prime`` hold lists of them),
+    and no other value is one; ``hull --trace`` relabels by that rule."""
+
     hull_set: frozenset[int]
     hull_number: int
     family: tuple[CharacteristicBlock, ...]
@@ -319,14 +323,6 @@ def _classify(g: Graph, mem: _Member, parts=()) -> None:
 # -- the solver ---------------------------------------------------------------
 
 
-def _least_nonadjacent_pair(g: Graph) -> frozenset[int]:
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if v not in g.adj[u]:
-                return frozenset({u, v})
-    raise SolverInvariantError("no non-adjacent pair in a non-complete graph")
-
-
 def solve(g: Graph) -> HullResult:
     """Compute a minimum toll hull set with its characteristic family."""
     if g.n == 0:
@@ -335,7 +331,8 @@ def solve(g: Graph) -> HullResult:
         raise GraphError("hull computation requires a connected graph")
     V = frozenset(range(g.n))
 
-    if g.is_clique(V):
+    # Graph merges duplicate edges and rejects loops, so this is a clique
+    if g.m == g.n * (g.n - 1) // 2:
         block = CharacteristicBlock(
             vertices=V,
             ctype=TYPE3,
@@ -354,15 +351,18 @@ def solve(g: Graph) -> HullResult:
 
     dec = atoms(g)
     if len(dec.atoms) == 1:
-        pair = _least_nonadjacent_pair(g)
+        k = interval_kernel(g)
+        pair = _interior_pair(k, k.full)
+        if not pair:
+            raise SolverInvariantError("no non-adjacent pair in a non-complete graph")
         return HullResult(
-            hull_set=pair,
+            hull_set=frozenset(_members(pair)),
             hull_number=2,
             family=(),
             extreme_vertices=frozenset(),
             prime=True,
             complete=False,
-            trace=({"phase": "prime", "pair": sorted(pair)},),
+            trace=({"phase": "prime", "pair": _members(pair)},),
         )
 
     return _solve_reducible(g, dec)

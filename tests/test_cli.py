@@ -470,6 +470,35 @@ def test_hull_trace_output_is_pinned_on_corpus():
     assert sha.hexdigest() == CORPUS_HULL_TRACE_SHA256
 
 
+# sha256 over the exit code and stdout of every subcommand, in text and
+# in json, without --timing: each one-graph command on g12 and theta7,
+# verify on theta7 and gen on a seeded tree; any byte a command prints
+# moves it
+CLI_OUTPUT_SHA256 = (
+    "ecd111ad71e37dc1f95142c7539742d26c34d248ceea86bb45515782020d8941"
+)
+
+
+def test_cli_output_is_pinned_in_both_formats():
+    graphs = {"g12": (g12(), "v1", "v11"), "theta7": (theta7(), "s", "q")}
+    runs = []
+    for name, (g, x, y) in graphs.items():
+        for argv in (["hull", "-", "--trace"], ["atoms", "-"],
+                     ["interval", "-", "--x", x, "--y", y],
+                     ["closure", "-", "--set", f"{x},{y}"],
+                     ["extreme", "-"], ["enumerate", "-"]):
+            runs.append((argv, to_edge_list(g)))
+    runs.append((["verify", "-"], to_edge_list(theta7())))
+    runs.append((["gen", "--model", "tree", "--n", "8", "--seed", "3"], ""))
+    sha = hashlib.sha256()
+    for argv, text in runs:
+        for fmt in ("text", "json"):
+            code, out, err = captured_run([*argv, "--format", fmt], io.StringIO(text))
+            assert code == EXIT_OK and err == "", (argv, fmt, err)
+            sha.update(f"{' '.join(argv)} {fmt} {code}\n{out}".encode())
+    assert sha.hexdigest() == CLI_OUTPUT_SHA256
+
+
 def test_verify_with_nothing_to_check_fails(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -481,6 +510,20 @@ def test_verify_with_nothing_to_check_fails(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "no graphs to verify" in captured.err
+
+
+def test_flags_only_on_the_commands_that_read_them(capsys):
+    # --trace belongs to hull alone, and gen reads no input
+    theta = to_edge_list(theta7())
+    gen = ["gen", "--model", "tree", "--n", "8"]
+    for argv in (["atoms", "-", "--trace"], ["extreme", "-", "--trace"],
+                 ["interval", "-", "--x", "s", "--y", "q", "--trace"],
+                 ["closure", "-", "--set", "s", "--trace"],
+                 ["enumerate", "-", "--trace"], ["verify", "-", "--trace"],
+                 [*gen, "--trace"], [*gen, "--input-format", "graph6"]):
+        code, out, err = captured_run(argv, io.StringIO(theta))
+        assert code == EXIT_USER, argv
+        assert out == "" and "unrecognized arguments" in err, argv
 
 
 def test_hull_rejects_a_graph6_sweep_file(capsys):

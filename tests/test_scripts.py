@@ -5,13 +5,18 @@ import sys
 from conftest import CORPUS_PATH, ROOT
 
 SWEEP = ROOT / "scripts" / "oracle_sweep.py"
+TIMING = ROOT / "scripts" / "timing_scaling.py"
+
+
+def script(path, *args):
+    return subprocess.run(
+        [sys.executable, str(path), *args],
+        capture_output=True, text=True, timeout=120,
+    )
 
 
 def sweep(*args):
-    return subprocess.run(
-        [sys.executable, str(SWEEP), *args],
-        capture_output=True, text=True, timeout=120,
-    )
+    return script(SWEEP, *args)
 
 
 def test_oracle_sweep_random_smoke():
@@ -36,12 +41,30 @@ def test_oracle_sweep_rejects_empty_inputs(tmp_path):
     empty.write_text("\n")
     for args, message in (
         (("--corpus", str(empty)), "no graph in"),
+        (("--corpus", str(tmp_path / "missing.g6")), "no such file"),
+        (("--corpus", str(tmp_path)), "cannot read"),
         (("--random", "-5"), "--random must be at least 0"),
         (("--random", "3", "--max-n", "1"), "--max-n must be at least 2"),
     ):
         done = sweep(*args)
         assert done.returncode == 2, args
         assert message in done.stderr and "Traceback" not in done.stderr
+
+
+def test_timing_scaling_rejects_bad_arguments():
+    # each is refused before any graph is built or timed
+    for args, message in (
+        (("--repeats", "0"), "--repeats must be at least 1"),
+        (("--sizes", "10,x"), "--sizes must be comma-separated integers"),
+        (("--sizes", "0"), "--sizes must ascend from at least 1"),
+        (("--sizes", "10,10"), "--sizes must ascend"),
+        (("--families", "--sizes", "3"), "--sizes must ascend from at least 4"),
+        (("--p", "0"), "--p must be in (0, 1]"),
+    ):
+        done = script(TIMING, *args)
+        assert done.returncode == 2, args
+        assert message in done.stderr and "Traceback" not in done.stderr
+        assert done.stdout == ""
 
 
 def test_oracle_sweep_counts_failed_checks(monkeypatch, tmp_path, capsys):
