@@ -28,8 +28,10 @@ On one core (Python 3.11) the corpus mode takes about 3 s on
 ``tests/data/connected_8.g6``, and ``--random 10000`` about 40 s.
 
 Exits non-zero on any discrepancy, and with a usage error on a corpus
-that cannot be read (missing, a directory, bytes that do not decode) or
-holds no graph, a negative --random or a --max-n below 2.  Typical use:
+that cannot be read (missing, a directory, bytes that do not decode),
+holds no graph, or has a line that does not parse or holds a graph that
+is not connected (the error names the line), on a negative --random or
+on a --max-n below 2.  Typical use:
 
   python scripts/oracle_sweep.py --corpus tests/data/connected_le7.g6
   python scripts/oracle_sweep.py --random 10000 --max-n 9
@@ -45,7 +47,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from tollhull.cli import _read_text, check  # noqa: E402
-from tollhull.graph import Graph, GraphError, parse_graph6_file  # noqa: E402
+from tollhull.graph import Graph, GraphError, parse_graph6  # noqa: E402
 from tollhull.solver import solve  # noqa: E402
 
 
@@ -74,8 +76,28 @@ def print_census(rules: Counter) -> None:
         print(f"  {phase} {arm}: " + ", ".join(fired))
 
 
-def sweep_corpus(path: str) -> int:
-    graphs = parse_graph6_file(_read_text(path))
+def read_corpus(path: str) -> list[Graph]:
+    """The graphs of a graph6 file, one per non-blank line.  A file that
+    cannot be read or holds no graph, and a line that does not parse or
+    holds a graph that is not connected, is a GraphError; a line's error
+    names it."""
+    graphs = []
+    for number, line in enumerate(_read_text(path).splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            g = parse_graph6(line)
+        except GraphError as exc:
+            raise GraphError(f"{path} line {number}: {exc}") from None
+        if not g.is_connected():
+            raise GraphError(f"{path} line {number}: graph is not connected")
+        graphs.append(g)
+    if not graphs:
+        raise GraphError(f"no graph in {path}")
+    return graphs
+
+
+def sweep_corpus(graphs: list[Graph]) -> int:
     bad = 0
     enumerations = {"complete": 0, "incomplete": 0}
     rules: Counter = Counter()
@@ -130,16 +152,15 @@ def main() -> int:
         ap.error("--random must be at least 0")
     if args.max_n < 2:
         ap.error("--max-n must be at least 2")
+    graphs = []
     if args.corpus:
         try:
-            text = _read_text(args.corpus)
+            graphs = read_corpus(args.corpus)
         except GraphError as exc:
             ap.error(str(exc))
-        if not text.split():
-            ap.error(f"no graph in {args.corpus}")
     bad = 0
-    if args.corpus:
-        bad += sweep_corpus(args.corpus)
+    if graphs:
+        bad += sweep_corpus(graphs)
     if args.random:
         bad += sweep_random(args.random, args.max_n, args.seed)
     if not args.corpus and not args.random:

@@ -8,7 +8,8 @@ fast path dominates.
 
   python scripts/timing_scaling.py --sizes 50,100,200,400 --p 0.1
 
-With ``--families``, times ``solve`` and ``extreme_vertices`` on the five
+With ``--families``, times ``solve``, ``extreme_vertices`` and ``atoms``
+(the decomposition alone, also part of ``solve``) on the five
 reducible families of ``perfbench/families.py`` (tree, caterpillar, cactus,
 2-tree and chain of prime blocks), each graph drawn from
 ``random.Random(SEED)`` and relabelled by ``families.edge_text`` as the
@@ -37,6 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from tollhull.atoms import atoms  # noqa: E402
 from tollhull.convexity import extreme_vertices  # noqa: E402
 from tollhull.graph import generate, parse_graph  # noqa: E402
 from tollhull.solver import solve  # noqa: E402
@@ -103,9 +105,11 @@ def run_families(sizes, repeats: int) -> None:
 
             best, result = best_time(fresh, solve, repeats)
             extreme, _ = best_time(fresh, extreme_vertices, repeats)
+            decomposed, _ = best_time(fresh, atoms, repeats)
             print(
                 f"{name:12s} n={n:5d} m={fresh().m:6d} hull={result.hull_number:5d} "
-                f"time={best * 1000:10.1f}ms extreme={extreme * 1000:9.1f}ms"
+                f"time={best * 1000:10.1f}ms extreme={extreme * 1000:9.1f}ms "
+                f"atoms={decomposed * 1000:9.1f}ms"
                 f"{growth(previous, n, best)}",
                 flush=True,
             )

@@ -5,18 +5,29 @@ along clique minimal separators into a unique family of maximal prime
 induced subgraphs, the atoms of the decomposition.  Atoms cover every
 vertex and every edge, and two atoms meet in a clique.
 
-The decomposition is the clique-minimal-separator scan of Berry,
-Pogorelcnik & Simonet ("An introduction to clique minimal separator
-decomposition", Algorithms 3, 2010).  A minimal elimination ordering
-defines a minimal triangulation H of G, in which madj(x) is the set of
-later-numbered neighbours of x.  The scan visits the vertices in
-elimination order; whenever madj(x), cut down to the part not yet
-removed, is a clique of G and a minimal separator of that part, the
-component of x is cut off together with the separator.  The clique
-minimal separators of G are exactly the minimal separators of H that are
-cliques of G, whichever minimal triangulation H is, and the atoms they
-cut out are unique; so any minimal elimination ordering gives the same
-atoms.
+The decomposition is the algorithm Atoms of Berry, Pogorelcnik & Simonet
+("An introduction to clique minimal separator decomposition", Algorithms
+3, 2010).  A minimal elimination ordering defines a minimal
+triangulation H of G, in which madj(x) is the set of later-numbered
+neighbours of x.  The clique minimal separators of G are exactly the
+minimal separators of H that are cliques of G, whichever minimal
+triangulation H is, and the atoms they cut out are unique; so any minimal
+elimination ordering gives the same atoms.  The paper's MCS-M+ marks as a
+generator each vertex x numbered with a weight no larger than that of the
+vertex numbered just before it, and the minimal separators of H are the
+sets madj(x) of the generators.  The Atoms step then visits the vertices
+in elimination order with G' = G at the start: for a generator x whose
+S = madj(x) is a clique of G, let C be the component of G' - S holding x;
+G'(S + C) is an atom, and G' becomes G' - C.  What stays of G' at the end
+is the last atom.
+
+A vertex weighs |madj(x)| when it is numbered: MCS-M adds v to madj(u)
+exactly when it raises u by one, and never raises a numbered vertex.
+The step needs no test of what is left of G'.  C lies at or before x in
+the ordering, since a path from x to a later vertex that avoids madj(x)
+shortens at its earliest inner vertex, whose madj is a clique of H, to
+an edge of H from x to a later vertex, which madj(x) holds.  And madj(x)
+lies after x, so no cut reaches a later generator or its separator.
 
 The ordering here is MCS-M (Berry, Blair, Heggernes & Peyton, "Maximum
 cardinality search for computing minimal triangulations of graphs",
@@ -128,14 +139,11 @@ def atoms(g: Graph) -> AtomDecomposition:
     order, madj = _mcs_m(k)
     alive = k.full
     found: list[int] = []
-    for x in order[1:]:
-        if not alive >> x & 1:
-            continue
-        sep = madj[x] & alive
-        if not sep or not k.clique(sep):
-            continue
-        comp = _cut(k, alive, sep, x)
-        if comp:
+    # x is a generator when it weighs no more than y, numbered just before
+    for x, y in zip(order[1:], order[2:]):
+        sep = madj[x]
+        if sep.bit_count() <= madj[y].bit_count() and k.clique(sep):
+            comp, _ = k.flood(alive & ~sep, 1 << x)
             found.append(comp | sep)
             alive ^= comp
     found.append(alive)
@@ -144,26 +152,6 @@ def atoms(g: Graph) -> AtomDecomposition:
     return AtomDecomposition(
         atoms=tuple(frozenset(vs) for vs, _ in ordered), extremal_flags=flags
     )
-
-
-def _cut(k: IntervalKernel, alive: int, sep: int, x: int) -> int:
-    """The component of x in alive - sep when sep is a minimal separator of
-    g[alive], that is, when at least two components of alive - sep see
-    every separator vertex; otherwise 0."""
-    rest = alive & ~sep
-    own, touched = k.flood(rest, 1 << x)
-    full = not sep & ~touched
-    rest ^= own
-    # a full component holds a neighbour of every separator vertex, so only
-    # the components next to one of them are grown; once one full
-    # component is known, the next flood stops as soon as it proves full
-    anchor = k.adj[(sep & -sep).bit_length() - 1]
-    while full < 2 and anchor & rest:
-        seed = anchor & rest
-        comp, touched = k.flood(rest, seed & -seed, sep if full else 0)
-        full += not sep & ~touched
-        rest ^= comp
-    return own if full >= 2 else 0
 
 
 def _extremal_flags(n: int, ordered: list[tuple[list[int], int]]) -> tuple[bool, ...]:

@@ -272,9 +272,9 @@ def interval_of_set(g: Graph, s) -> frozenset[int]:
     if not s:
         raise GraphError("interval of the empty set is undefined")
     out = _checked_mask(g, s)
+    _require_connected(g)
     if len(s) == 1:
         return s
-    _require_connected(g)
     k = interval_kernel(g)
     for a, b in combinations(sorted(s), 2):
         out |= k.interval(a, b)

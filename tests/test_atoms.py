@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 from conftest import connected_graphs, family_graphs, vids
 from tollhull.atoms import _mcs_m, atoms, extremal_atoms, is_prime
-from tollhull.convexity import interval_kernel
+from tollhull.convexity import _members, interval_kernel
 from tollhull.graph import Graph, GraphError, c5, g12, generate, k4, theta7
 from tollhull.oracles import bf_atoms, bf_is_prime
 
@@ -126,6 +126,57 @@ def test_atoms_are_prime_and_maximal(g):
         for extra in set(range(g.n)) - a:
             bigger, _ = g.subgraph(a | {extra})
             assert not (bigger.is_connected() and bf_is_prime(bigger))
+
+
+def atoms_by_minimality(g: Graph) -> tuple[frozenset[int], ...]:
+    """The atoms by the scan that tries every vertex, not only the
+    generators: whenever madj(x), cut down to the part not yet removed, is
+    a clique of G and a minimal separator of that part (two components of
+    the part minus it see every one of its vertices), the component of x
+    is cut off.  Sorted as ``atoms`` sorts them."""
+    k = interval_kernel(g)
+    order, madj = _mcs_m(k)
+    alive = k.full
+    found = []
+    for x in order[1:]:
+        if not alive >> x & 1:
+            continue
+        sep = madj[x] & alive
+        if not sep or not k.clique(sep):
+            continue
+        rest = alive & ~sep
+        own, touched = k.flood(rest, 1 << x)
+        full = not sep & ~touched
+        rest ^= own
+        while full < 2 and rest:
+            comp, touched = k.flood(rest, rest & -rest)
+            full += not sep & ~touched
+            rest ^= comp
+        if full >= 2:
+            found.append(own | sep)
+            alive ^= own
+    found.append(alive)
+    return tuple(frozenset(vs) for vs in sorted(_members(a) for a in found))
+
+
+def connected_gnp(n: int, p: float, seed: int) -> Graph:
+    while not (g := generate("gnp", n, p, seed=seed)).is_connected():
+        seed += 1000
+    return g
+
+
+def test_generator_cuts_match_minimality_scan_on_families():
+    # bf_atoms stops at n = 9; these reach n = 150
+    for g in family_graphs((20, 60, 150)):
+        assert atoms(g).atoms == atoms_by_minimality(g), sorted(g.edges())
+
+
+@pytest.mark.parametrize("p", [0.1, 0.15, 0.2, 0.3])
+def test_generator_cuts_match_minimality_scan_on_gnp(p):
+    for n in range(10, 41, 3):
+        for seed in range(3):
+            g = connected_gnp(n, p, seed)
+            assert atoms(g).atoms == atoms_by_minimality(g), sorted(g.edges())
 
 
 def non_extremal_components(g: Graph) -> list[int]:

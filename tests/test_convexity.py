@@ -71,6 +71,9 @@ def test_interval_of_set():
     for bad in (99, -1):
         with pytest.raises(GraphError):
             interval_of_set(c5(), {bad})  # the singleton short path checks too
+    with pytest.raises(GraphError):
+        # and it asks for a connected graph, as every other operator does
+        interval_of_set(Graph(4, [(0, 1), (2, 3)]), {0})
 
 
 def test_hull_fixtures():

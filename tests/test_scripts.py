@@ -1,4 +1,5 @@
 import importlib.util
+import re
 import subprocess
 import sys
 
@@ -39,8 +40,14 @@ def test_oracle_sweep_corpus_smoke(tmp_path):
 def test_oracle_sweep_rejects_empty_inputs(tmp_path):
     empty = tmp_path / "empty.g6"
     empty.write_text("\n")
+    garbled = tmp_path / "garbled.g6"
+    garbled.write_text("zzz\n")
+    isolated = tmp_path / "isolated.g6"
+    isolated.write_text("C?\n")  # four isolated vertices
     for args, message in (
         (("--corpus", str(empty)), "no graph in"),
+        (("--corpus", str(garbled)), "garbled.g6 line 1: graph6 body length"),
+        (("--corpus", str(isolated)), "isolated.g6 line 1: graph is not connected"),
         (("--corpus", str(tmp_path / "missing.g6")), "no such file"),
         (("--corpus", str(tmp_path)), "cannot read"),
         (("--random", "-5"), "--random must be at least 0"),
@@ -67,6 +74,19 @@ def test_timing_scaling_rejects_bad_arguments():
         assert done.stdout == ""
 
 
+def test_timing_scaling_families_smoke():
+    done = script(TIMING, "--families", "--sizes", "8,16", "--repeats", "1")
+    assert done.returncode == 0, done.stdout + done.stderr
+    rows = [re.sub(r"=\s+", "=", line).split() for line in done.stdout.splitlines()]
+    families = ("tree", "caterpillar", "cactus", "2-tree", "prime-chain")
+    assert [row[:2] for row in rows] == [
+        [name, f"n={n}"] for name in families for n in (8, 16)
+    ]
+    for row in rows:
+        names = [field.split("=")[0] for field in row[2:7]]
+        assert names == ["m", "hull", "time", "extreme", "atoms"]
+
+
 def test_oracle_sweep_counts_failed_checks(monkeypatch, tmp_path, capsys):
     spec = importlib.util.spec_from_file_location("oracle_sweep", SWEEP)
     oracle_sweep = importlib.util.module_from_spec(spec)
@@ -80,7 +100,7 @@ def test_oracle_sweep_counts_failed_checks(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(oracle_sweep, "check", failing)
     corpus = tmp_path / "one.g6"
     corpus.write_text(CORPUS_PATH.read_text().splitlines()[5] + "\n")
-    assert oracle_sweep.sweep_corpus(str(corpus)) == 1
+    assert oracle_sweep.sweep_corpus(oracle_sweep.read_corpus(str(corpus))) == 1
     out = capsys.readouterr().out
     assert "mismatch on " in out and ": intervals" in out
     assert "corpus: 1 graphs, 1 discrepancies" in out
