@@ -2,9 +2,9 @@
 """Wall-clock scaling of the hull solver.
 
 By default, times the full pipeline (decomposition, primality, selection)
-on connected gnp graphs at a fixed edge probability across a grid of sizes.
-The solver is quartic in the worst case; on sparse random inputs the prime
-fast path dominates.
+and ``atoms`` (the decomposition alone) on connected gnp graphs at a fixed
+edge probability across a grid of sizes.  The solver is quartic in the
+worst case; on sparse random inputs the prime fast path dominates.
 
   python scripts/timing_scaling.py --sizes 50,100,200,400 --p 0.1
 
@@ -81,11 +81,18 @@ def run_gnp(sizes, p: float, repeats: int) -> None:
     previous = None
     for n in sizes:
         g, seed = connected_gnp(n, p)
-        best, result = best_time(lambda: generate("gnp", n, p, seed=seed), solve, repeats)
+
+        def fresh():
+            return generate("gnp", n, p, seed=seed)
+
+        best, result = best_time(fresh, solve, repeats)
+        decomposed, _ = best_time(fresh, atoms, repeats)
         print(
             f"n={n:5d} m={g.m:6d} seed={seed} prime={result.prime} "
-            f"hull={result.hull_number} time={best * 1000:9.2f}ms"
-            f"{growth(previous, n, best)}"
+            f"hull={result.hull_number} time={best * 1000:9.2f}ms "
+            f"atoms={decomposed * 1000:9.2f}ms"
+            f"{growth(previous, n, best)}",
+            flush=True,
         )
         previous = n, best
 

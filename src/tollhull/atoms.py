@@ -48,6 +48,19 @@ vertex heavier than w is not yet seen, each flood stops as soon as all
 of them are, and from then on each heavier level is reached whole.  At
 the heaviest level nothing is heavier, so its flood is skipped.  Both
 stops give the hits of the full walk.
+
+MCS-M stops as soon as no unnumbered vertex can still cut.  It only ever
+adds to the madj of an unnumbered vertex u, so once madj(u) holds two
+vertices that are not adjacent in G, madj(u) is never a clique of G and
+u cuts nothing, whatever number it takes.  Such a u is dead: it dies when
+the v joining madj(u) misses a vertex already there, and MCS-M stops when
+every unnumbered vertex is dead.  The vertices it leaves unnumbered would
+take the lowest numbers, so the Atoms step visits them first; as they cut
+nothing, G' is still G when the step reaches the numbered vertices, whose
+numbers, madj and generator tests are those of the full run.  Every cut,
+and so every atom, stays the same.  On sparse prime graphs the stop comes
+early: on the benchmark's connected G(n, 0.1) inputs of n = 200-400
+(seeds 1, 2, 3 and 7) it numbers 54 to 87 vertices.
 """
 from __future__ import annotations
 
@@ -69,27 +82,32 @@ class AtomDecomposition:
 
 
 def _mcs_m(k: IntervalKernel) -> tuple[list[int], list[int]]:
-    """Minimal elimination ordering and the fill neighbourhoods it induces.
+    """Minimal elimination ordering and the fill neighbourhoods it induces,
+    up to the stop.
 
-    Returns (order, madj): order[i] is the vertex numbered i (elimination
-    runs from 1 to n), and madj[v] the mask of the higher-numbered
-    neighbours of v in the triangulated graph.
+    Returns (order, madj): order lists the numbered vertices in elimination
+    order, lowest number first, and madj[v] is the mask of the
+    higher-numbered neighbours of a numbered v in the triangulated graph.
+    The vertices left unnumbered would take the numbers below order[0], and
+    each one's madj already holds two vertices that are not adjacent in G.
     """
     adj = k.adj
     n = len(adj)
     level = [0] * (n + 1)  # level[w]: the unnumbered vertices of weight w
     level[0] = unnumbered = k.full
     occupied = 1  # bit w set when level[w] is not empty
-    order = [0] * (n + 1)
+    dead = 0  # the vertices whose madj is not a clique of G
+    order = []
     madj = [0] * n
-    for i in range(n, 0, -1):
+    while unnumbered & ~dead:
         top = occupied.bit_length() - 1
         low = level[top] & -level[top]
         level[top] ^= low
         if not level[top]:
             occupied ^= 1 << top
         unnumbered ^= low
-        v = order[i] = low.bit_length() - 1
+        v = low.bit_length() - 1
+        order.append(v)
 
         # at weight w, the reached vertices of weight w are those next to v
         # or to the flood of lighter vertices; the flood then spreads
@@ -124,8 +142,12 @@ def _mcs_m(k: IntervalKernel) -> tuple[list[int], list[int]]:
             level[w + 1] |= hit
             occupied |= 2 << w
             updated |= hit
+        apart = ~adj[v]
         for u in _members(updated):
+            if madj[u] & apart:
+                dead |= 1 << u
             madj[u] |= low
+    order.reverse()
     return order, madj
 
 
@@ -140,7 +162,7 @@ def atoms(g: Graph) -> AtomDecomposition:
     alive = k.full
     found: list[int] = []
     # x is a generator when it weighs no more than y, numbered just before
-    for x, y in zip(order[1:], order[2:]):
+    for x, y in zip(order, order[1:]):
         sep = madj[x]
         if sep.bit_count() <= madj[y].bit_count() and k.clique(sep):
             comp, _ = k.flood(alive & ~sep, 1 << x)

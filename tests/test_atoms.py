@@ -133,12 +133,14 @@ def atoms_by_minimality(g: Graph) -> tuple[frozenset[int], ...]:
     generators: whenever madj(x), cut down to the part not yet removed, is
     a clique of G and a minimal separator of that part (two components of
     the part minus it see every one of its vertices), the component of x
-    is cut off.  Sorted as ``atoms`` sorts them."""
+    is cut off.  The ordering is the set-based MCS-M's full run, so the
+    scan shares no code with ``_mcs_m`` and visits every vertex.  Sorted as
+    ``atoms`` sorts them."""
     k = interval_kernel(g)
-    order, madj = _mcs_m(k)
+    order, madj = mcs_m_by_definition(g)
     alive = k.full
     found = []
-    for x in order[1:]:
+    for x in order:
         if not alive >> x & 1:
             continue
         sep = madj[x] & alive
@@ -223,15 +225,16 @@ def mcs_m_by_definition(g: Graph) -> tuple[list[int], list[int]]:
     Number the heaviest unnumbered vertex v, the least one on a tie; then
     raise the weight of each unnumbered u that a path from v reaches
     through unnumbered vertices lighter than u only, and add v to madj(u).
-    Returns (order, madj) in the shape ``_mcs_m`` returns them.
+    Returns (order, madj) for the full run: order lists every vertex in
+    elimination order, lowest number first, and madj holds masks.
     """
     weight = [0] * g.n
     unnumbered = set(range(g.n))
-    order = [0] * (g.n + 1)
+    order = []
     madj = [0] * g.n
-    for i in range(g.n, 0, -1):
+    while unnumbered:
         v = min(unnumbered, key=lambda u: (-weight[u], u))
-        order[i] = v
+        order.insert(0, v)
         unnumbered.remove(v)
         # ends[w]: the vertices next to v or to the part of G - (numbered
         # vertices) reached from v through vertices lighter than w
@@ -265,7 +268,16 @@ def _path_ends(g: Graph, v: int, inner: set[int]) -> set[int]:
 
 
 def assert_mcs_m_matches_definition(g: Graph) -> None:
-    assert _mcs_m(interval_kernel(g)) == mcs_m_by_definition(g), g.edges()
+    """``_mcs_m`` numbers the definition's last vertices with the same
+    madj, and stops only where every vertex left has a madj, in the full
+    run, that is not a clique of G."""
+    order, madj = _mcs_m(interval_kernel(g))
+    want_order, want_madj = mcs_m_by_definition(g)
+    assert order == want_order[len(want_order) - len(order):], g.edges()
+    for v in order:
+        assert madj[v] == want_madj[v], (v, g.edges())
+    for v in set(range(g.n)) - set(order):
+        assert not g.is_clique(_members(want_madj[v])), (v, g.edges())
 
 
 def test_mcs_m_matches_definition_on_corpus(corpus):
@@ -288,3 +300,12 @@ def test_mcs_m_matches_definition_on_gnp(n, p):
     while not (g := generate("gnp", n, p, seed=seed)).is_connected():
         seed += 1
     assert_mcs_m_matches_definition(g)
+
+
+def test_mcs_m_stops_before_numbering_every_vertex():
+    # on this sparse prime G(n, p) every unnumbered vertex soon holds
+    # a non-edge in its madj, so the ordering stops well short of n
+    g = connected_gnp(200, 0.1, 0)
+    order, _ = _mcs_m(interval_kernel(g))
+    assert len(order) < g.n
+    assert atoms(g).atoms == atoms_by_minimality(g)

@@ -87,6 +87,18 @@ def test_timing_scaling_families_smoke():
         assert names == ["m", "hull", "time", "extreme", "atoms"]
 
 
+def test_timing_scaling_gnp_smoke():
+    done = script(TIMING, "--sizes", "10,20", "--repeats", "1")
+    assert done.returncode == 0, done.stdout + done.stderr
+    rows = [re.sub(r"=\s+", "=", line).split() for line in done.stdout.splitlines()]
+    assert [row[0] for row in rows] == ["n=10", "n=20"]
+    names = [[field.split("=")[0] for field in row[1:]] for row in rows]
+    assert names == [
+        ["m", "seed", "prime", "hull", "time", "atoms"],
+        ["m", "seed", "prime", "hull", "time", "atoms", "exponent"],
+    ]
+
+
 def test_oracle_sweep_counts_failed_checks(monkeypatch, tmp_path, capsys):
     spec = importlib.util.spec_from_file_location("oracle_sweep", SWEEP)
     oracle_sweep = importlib.util.module_from_spec(spec)
