@@ -1,19 +1,20 @@
 #!/usr/bin/env python3
 """Wall-clock scaling of the hull solver.
 
-By default, times the full pipeline (decomposition, primality, selection)
-and ``atoms`` (the decomposition alone) on connected gnp graphs at a fixed
-edge probability across a grid of sizes.  The solver is quartic in the
-worst case; on sparse random inputs the prime fast path dominates.
+By default, times the full pipeline (decomposition, primality, selection),
+``atoms`` (the decomposition alone) and ``parse_graph`` of the graph's
+edge list (``to_edge_list`` of it) on connected gnp graphs at a fixed edge
+probability across a grid of sizes.  The solver is quartic in the worst
+case; on sparse random inputs the prime fast path dominates.
 
   python scripts/timing_scaling.py --sizes 50,100,200,400 --p 0.1
 
-With ``--families``, times ``solve``, ``extreme_vertices`` and ``atoms``
-(the decomposition alone, also part of ``solve``) on the five
-reducible families of ``perfbench/families.py`` (tree, caterpillar, cactus,
-2-tree and chain of prime blocks), each graph drawn from
-``random.Random(SEED)`` and relabelled by ``families.edge_text`` as the
-benchmark does.
+With ``--families``, times ``solve``, ``extreme_vertices``, ``atoms``
+(the decomposition alone, also part of ``solve``) and ``parse_graph`` of
+the graph's edge-list text on the five reducible families of
+``perfbench/families.py`` (tree, caterpillar, cactus, 2-tree and chain of
+prime blocks), each graph drawn from ``random.Random(SEED)`` and
+relabelled by ``families.edge_text`` as the benchmark does.
 
 Every repeat runs on a freshly built graph: a graph keeps the interval
 kernel of its first call, so a second call on it would time a warm kernel.
@@ -40,7 +41,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from tollhull.atoms import atoms  # noqa: E402
 from tollhull.convexity import extreme_vertices  # noqa: E402
-from tollhull.graph import generate, parse_graph  # noqa: E402
+from tollhull.graph import generate, parse_graph, to_edge_list  # noqa: E402
 from tollhull.solver import solve  # noqa: E402
 
 SEED = 1  # seed of every family graph
@@ -87,10 +88,12 @@ def run_gnp(sizes, p: float, repeats: int) -> None:
 
         best, result = best_time(fresh, solve, repeats)
         decomposed, _ = best_time(fresh, atoms, repeats)
+        text = to_edge_list(g)
+        parsed, _ = best_time(lambda: text, parse_graph, repeats)
         print(
             f"n={n:5d} m={g.m:6d} seed={seed} prime={result.prime} "
             f"hull={result.hull_number} time={best * 1000:9.2f}ms "
-            f"atoms={decomposed * 1000:9.2f}ms"
+            f"atoms={decomposed * 1000:9.2f}ms parse={parsed * 1000:9.2f}ms"
             f"{growth(previous, n, best)}",
             flush=True,
         )
@@ -113,10 +116,11 @@ def run_families(sizes, repeats: int) -> None:
             best, result = best_time(fresh, solve, repeats)
             extreme, _ = best_time(fresh, extreme_vertices, repeats)
             decomposed, _ = best_time(fresh, atoms, repeats)
+            parsed, _ = best_time(lambda: text, parse_graph, repeats)
             print(
                 f"{name:12s} n={n:5d} m={fresh().m:6d} hull={result.hull_number:5d} "
                 f"time={best * 1000:10.1f}ms extreme={extreme * 1000:9.1f}ms "
-                f"atoms={decomposed * 1000:9.1f}ms"
+                f"atoms={decomposed * 1000:9.1f}ms parse={parsed * 1000:9.1f}ms"
                 f"{growth(previous, n, best)}",
                 flush=True,
             )

@@ -107,7 +107,7 @@ def _emit(args, doc: dict, lines: list[str], started: float) -> None:
     if args.format == "json":
         if "input" in doc:
             g = doc["input"]
-            canon = "\n".join(f"{g.labels[u]} {g.labels[v]}" for u, v in g.edges())
+            canon = to_edge_list(g).removesuffix("\n")
             sha256 = hashlib.sha256(canon.encode()).hexdigest()
             doc["input"] = {"n": g.n, "m": g.m, "sha256": sha256}
         if args.timing:
@@ -297,16 +297,29 @@ def _verify_jobs(path: str, fmt: str, name: str | None) -> list[tuple[str, Graph
     """(name, graph) for each non-blank graph6 line of the file, or for its
     one edge list.  A file of a directory sweep passes its name, giving
     ``<file>:<i>`` and ``<file>``; a single input passes None, giving
-    ``line:<i>`` and ``input``."""
+    ``line:<i>`` and ``input``.  A graph that does not parse or is not
+    connected is a GraphError naming the file and, for graph6, its line."""
     text = _read_text(path)
     if fmt == "graph6":
         prefix = "line" if name is None else name
         return [
-            (f"{prefix}:{i}", parse_graph6(ln))
+            (f"{prefix}:{i}", _parse_connected(parse_graph6, ln, f"{path} line {i + 1}"))
             for i, ln in enumerate(text.splitlines())
             if ln.strip()
         ]
-    return [("input" if name is None else name, parse_edge_list(text))]
+    return [("input" if name is None else name, _parse_connected(parse_edge_list, text, path))]
+
+
+def _parse_connected(parse, text: str, where: str) -> Graph:
+    """``parse(text)``, with ``where`` put before any error; a graph that is
+    not connected is an error."""
+    try:
+        g = parse(text)
+    except GraphError as exc:
+        raise GraphError(f"{where}: {exc}") from None
+    if not g.is_connected():
+        raise GraphError(f"{where}: graph is not connected")
+    return g
 
 
 def _cmd_verify(args) -> int:

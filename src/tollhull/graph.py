@@ -44,19 +44,16 @@ class Graph:
         if n < 0:
             raise GraphError("vertex count must be non-negative")
         adj: list[set[int]] = [set() for _ in range(n)]
-        m = 0
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
-            if v not in adj[u]:
-                m += 1
-                adj[u].add(v)
-                adj[v].add(u)
+            adj[u].add(v)
+            adj[v].add(u)
         self.n = n
-        self.m = m
-        self.adj: tuple[frozenset[int], ...] = tuple(frozenset(a) for a in adj)
+        self.m = sum(map(len, adj)) // 2
+        self.adj: tuple[frozenset[int], ...] = tuple(map(frozenset, adj))
         if labels is None:
             self.labels: tuple[str, ...] = tuple(str(i) for i in range(n))
         else:
@@ -187,19 +184,15 @@ def parse_edge_list(text: str) -> Graph:
     ids: dict[str, int] = {}
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = line.split()
         if len(tokens) != 2:
             raise ParseError(f"line {lineno}: expected two vertex tokens, got {len(tokens)}")
         a, b = tokens
         if a == b:
             raise ParseError(f"line {lineno}: self-loop on {a!r}")
-        for t in (a, b):
-            if t not in ids:
-                ids[t] = len(ids)
-        edges.append((ids[a], ids[b]))
+        edges.append((ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids))))
     if not ids:
         raise ParseError("empty edge list")
     return Graph(len(ids), edges, list(ids))
@@ -211,30 +204,27 @@ def to_edge_list(g: Graph) -> str:
 
 
 _G6_HEADER = ">>graph6<<"
+_G6_BITS = {chr(v + 63): format(v, "06b") for v in range(64)}
+
+
+def _g6_bits(chars: str) -> str:
+    """The six bits of each graph6 byte, most significant first."""
+    try:
+        return "".join([_G6_BITS[c] for c in chars])
+    except KeyError:
+        raise ParseError("invalid graph6 byte") from None
 
 
 def _g6_decode_n(data: str) -> tuple[int, int]:
-    """Return (n, chars consumed) from the size prefix."""
+    """Return (n, chars consumed) from the size prefix: one byte, or "~"
+    and three, or "~~" and six."""
     if not data:
         raise ParseError("empty graph6 string")
-    c0 = ord(data[0]) - 63
-    if c0 < 0 or c0 > 63:
-        raise ParseError("invalid graph6 byte")
-    if data[0] != "~":
-        return c0, 1
-    if len(data) >= 2 and data[1] != "~":
-        if len(data) < 4:
-            raise ParseError("truncated graph6 size")
-        n = 0
-        for ch in data[1:4]:
-            n = (n << 6) | (ord(ch) - 63)
-        return n, 4
-    if len(data) < 8:
+    tildes = 0 if data[0] != "~" else 1 if data[1:2] != "~" else 2
+    used = tildes + (1, 3, 6)[tildes]
+    if len(data) < used:
         raise ParseError("truncated graph6 size")
-    n = 0
-    for ch in data[2:8]:
-        n = (n << 6) | (ord(ch) - 63)
-    return n, 8
+    return int(_g6_bits(data[tildes:used]), 2), used
 
 
 def parse_graph6(line: str) -> Graph:
@@ -246,48 +236,22 @@ def parse_graph6(line: str) -> Graph:
         raise ParseError("empty graph6 line")
     n, used = _g6_decode_n(data)
     body = data[used:]
-    nbits = n * (n - 1) // 2
-    nbytes = (nbits + 5) // 6
+    nbytes = (n * (n - 1) // 2 + 5) // 6
     if len(body) != nbytes:
         raise ParseError(f"graph6 body length {len(body)}, expected {nbytes} for n={n}")
-    bits: list[int] = []
-    for ch in body:
-        val = ord(ch) - 63
-        if val < 0 or val > 63:
-            raise ParseError("invalid graph6 byte")
-        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
-    edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
-    return Graph(n, edges)
+    pairs = ((i, j) for j in range(1, n) for i in range(j))
+    return Graph(n, [pair for pair, bit in zip(pairs, _g6_bits(body)) if bit == "1"])
 
 
 def to_graph6(g: Graph) -> str:
     """Standard graph6 encoding (no header), bit-exact."""
     n = g.n
-    if n <= 62:
-        prefix = chr(n + 63)
-    elif n <= 258047:
-        prefix = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
-    else:
-        prefix = "~~" + "".join(chr(((n >> s) & 63) + 63) for s in (30, 24, 18, 12, 6, 0))
-    bits: list[int] = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if j in g.adj[i] else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = []
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k:k + 6]:
-            val = (val << 1) | b
-        chars.append(chr(val + 63))
-    return prefix + "".join(chars)
+    prefix, width = ("", 6) if n <= 62 else ("~", 18) if n <= 258047 else ("~~", 36)
+    bits = format(n, f"0{width}b") + "".join(
+        "1" if j in g.adj[i] else "0" for j in range(1, n) for i in range(j)
+    )
+    bits += "0" * (-len(bits) % 6)
+    return prefix + "".join(chr(int(bits[k:k + 6], 2) + 63) for k in range(0, len(bits), 6))
 
 
 def parse_graph6_file(text: str) -> list[Graph]:
@@ -413,13 +377,12 @@ _THETA7_EDGES = (
 
 def g12() -> Graph:
     """Twelve-vertex chain of two K5-ish end blocks and two K4 middles."""
-    order = [f"v{i}" for i in range(1, 13)]
-    return _from_labeled_edges(order, _G12_EDGES)
+    return parse_edge_list("\n".join(_G12_EDGES))
 
 
 def theta7() -> Graph:
     """Two chordless (s,t)-paths of inner lengths 2 and 3 plus the edge st."""
-    return _from_labeled_edges(["s", "t", "z1", "z2", "p", "r", "q"], _THETA7_EDGES)
+    return parse_edge_list("\n".join(_THETA7_EDGES))
 
 
 def k4() -> Graph:
@@ -444,12 +407,3 @@ def fixture(name: str) -> Graph:
         return _FIXTURES[name]()
     except KeyError:
         raise GraphError(f"unknown fixture {name!r}") from None
-
-
-def _from_labeled_edges(order: list[str], edge_lines: Iterable[str]) -> Graph:
-    ids = {lab: i for i, lab in enumerate(order)}
-    edges = []
-    for line in edge_lines:
-        a, b = line.split()
-        edges.append((ids[a], ids[b]))
-    return Graph(len(order), edges, order)

@@ -152,6 +152,33 @@ def test_verify_directory_parallel(tmp_path, capsys):
     assert "agreement: true" in capsys.readouterr().out
 
 
+def test_verify_names_the_line_it_cannot_parse(tmp_path, capsys):
+    p = tmp_path / "sweep.g6"
+    p.write_text(to_graph6(theta7()) + "\n\n" + to_graph6(g12())[:-1] + "\n")
+    assert run(["verify", str(p), "--input-format", "graph6"]) == EXIT_USER
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {p} line 3: graph6 body length 10, expected 11 for n=12\n"
+    )
+
+
+def test_verify_names_a_disconnected_input(tmp_path, capsys):
+    g6 = tmp_path / "isolated.g6"
+    g6.write_text("C?\n")
+    edges = tmp_path / "two.txt"
+    edges.write_text("a b\nc d\n")
+    for argv, where in (
+        (["verify", str(g6), "--input-format", "graph6"], f"{g6} line 1"),
+        (["verify", str(g6), "--input-format", "graph6", "--jobs", "2"], f"{g6} line 1"),
+        (["verify", str(edges)], str(edges)),
+    ):
+        assert run(argv) == EXIT_USER
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {where}: graph is not connected\n"
+
+
 def test_check_agrees_on_every_25th_graph_on_8_vertices():
     lines = CORPUS_8_PATH.read_text().splitlines()[::25]
     assert len(lines) == 445

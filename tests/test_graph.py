@@ -6,6 +6,7 @@ from tollhull.graph import (
     Graph,
     GraphError,
     ParseError,
+    _g6_decode_n,
     c5,
     fixture,
     g12,
@@ -224,6 +225,26 @@ def test_corpus_8_counts():
 def test_graph6_roundtrip_random(g):
     again = parse_graph6(to_graph6(g))
     assert again.n == g.n and again.edges() == g.edges()
+
+
+def test_graph6_long_size_prefix():
+    # above n = 62 the size takes "~" and three bytes, 18 bits of n
+    for n, prefix in ((62, "}"), (63, "~??~"), (64, "~?@?"), (100, "~?@c"), (300, "~?Ck")):
+        seed = 0
+        while not (g := generate("gnp", n, 0.1, seed=seed)).is_connected():
+            seed += 1
+        line = to_graph6(g)
+        assert line.startswith(prefix) and len(line) == len(prefix) + (n * (n - 1) // 2 + 5) // 6
+        again = parse_graph6(line)
+        assert again.n == n and again.edges() == g.edges()
+    # above n = 258047 it takes "~~" and six bytes, 36 bits of n
+    assert _g6_decode_n("~~??A???") == (524288, 8)
+
+
+def test_graph6_size_prefix_rejects_bytes_outside_range():
+    for line in ("~!!!", "~~!!!!!!", "~?\x80?"):
+        with pytest.raises(ParseError, match="invalid graph6 byte"):
+            parse_graph6(line)
 
 
 @given(connected_graphs(max_n=9))

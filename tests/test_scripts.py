@@ -83,8 +83,8 @@ def test_timing_scaling_families_smoke():
         [name, f"n={n}"] for name in families for n in (8, 16)
     ]
     for row in rows:
-        names = [field.split("=")[0] for field in row[2:7]]
-        assert names == ["m", "hull", "time", "extreme", "atoms"]
+        names = [field.split("=")[0] for field in row[2:8]]
+        assert names == ["m", "hull", "time", "extreme", "atoms", "parse"]
 
 
 def test_timing_scaling_gnp_smoke():
@@ -94,8 +94,8 @@ def test_timing_scaling_gnp_smoke():
     assert [row[0] for row in rows] == ["n=10", "n=20"]
     names = [[field.split("=")[0] for field in row[1:]] for row in rows]
     assert names == [
-        ["m", "seed", "prime", "hull", "time", "atoms"],
-        ["m", "seed", "prime", "hull", "time", "atoms", "exponent"],
+        ["m", "seed", "prime", "hull", "time", "atoms", "parse"],
+        ["m", "seed", "prime", "hull", "time", "atoms", "parse", "exponent"],
     ]
 
 
