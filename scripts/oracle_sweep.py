@@ -8,7 +8,7 @@ Two modes, combinable:
                      vertices
 
 Every graph runs the checks of ``tollhull verify``, from the one function
-``tollhull.cli.check``, on the solver's result: the closure of the hull
+``tollhull.check.check``, on the solver's result: the closure of the hull
 set (``bf_hull`` up to 12 vertices, ``toll_hull`` above), the hull number
 and every pair's toll interval against brute force up to 12 vertices;
 atoms, the enumeration stream and ``extreme_vertices`` against brute force
@@ -23,15 +23,15 @@ selection rule fired in the solver's trace, by phase (``initial`` or
 ``merge``), the member's type, for a merge k (how many absorbed members
 were already t-concave), and rule label.
 
-On one core (Python 3.11) the corpus mode takes about 3 s on
-``tests/data/connected_le7.g6`` and about 50 s on
-``tests/data/connected_8.g6``, and ``--random 10000`` about 40 s.
+On one core (Python 3.11) the corpus mode takes about 2 s on
+``tests/data/connected_le7.g6`` and about 28 s on
+``tests/data/connected_8.g6``, and ``--random 10000`` about 17 s.
 
 Exits non-zero on any discrepancy, and with a usage error on a corpus
 that cannot be read (missing, a directory, bytes that do not decode),
 holds no graph, or has a line that does not parse or holds a graph that
-is not connected (the error names the line), on a negative --random or
-on a --max-n below 2.  Typical use:
+has no vertices or is not connected (the error names the line), on a
+negative --random or on a --max-n below 2.  Typical use:
 
   python scripts/oracle_sweep.py --corpus tests/data/connected_le7.g6
   python scripts/oracle_sweep.py --random 10000 --max-n 9
@@ -46,8 +46,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from tollhull.cli import _read_text, check  # noqa: E402
-from tollhull.graph import Graph, GraphError, parse_graph6  # noqa: E402
+from tollhull.check import check  # noqa: E402
+from tollhull.cli import read_graphs  # noqa: E402
+from tollhull.graph import Graph, GraphError  # noqa: E402
 from tollhull.solver import solve  # noqa: E402
 
 
@@ -74,27 +75,6 @@ def print_census(rules: Counter) -> None:
     for (phase, ctype, k), fired in arms.items():
         arm = f"type {ctype}" if k is None else f"type {ctype} k={k}"
         print(f"  {phase} {arm}: " + ", ".join(fired))
-
-
-def read_corpus(path: str) -> list[Graph]:
-    """The graphs of a graph6 file, one per non-blank line.  A file that
-    cannot be read or holds no graph, and a line that does not parse or
-    holds a graph that is not connected, is a GraphError; a line's error
-    names it."""
-    graphs = []
-    for number, line in enumerate(_read_text(path).splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            g = parse_graph6(line)
-        except GraphError as exc:
-            raise GraphError(f"{path} line {number}: {exc}") from None
-        if not g.is_connected():
-            raise GraphError(f"{path} line {number}: graph is not connected")
-        graphs.append(g)
-    if not graphs:
-        raise GraphError(f"no graph in {path}")
-    return graphs
 
 
 def sweep_corpus(graphs: list[Graph]) -> int:
@@ -155,9 +135,11 @@ def main() -> int:
     graphs = []
     if args.corpus:
         try:
-            graphs = read_corpus(args.corpus)
+            graphs = [g for _, g in read_graphs(args.corpus, "graph6", None)]
         except GraphError as exc:
             ap.error(str(exc))
+        if not graphs:
+            ap.error(f"no graph in {args.corpus}")
     bad = 0
     if graphs:
         bad += sweep_corpus(graphs)

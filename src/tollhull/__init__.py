@@ -7,6 +7,7 @@ oracles certify every computation at small scale.
 """
 
 from .atoms import AtomDecomposition, atoms, extremal_atoms, is_prime
+from .check import EnumerationReport, compare_with_bruteforce
 from .convexity import (
     extreme_vertices,
     fast_concavity_test,
@@ -17,11 +18,7 @@ from .convexity import (
     toll_hull,
     toll_interval,
 )
-from .enumeration import (
-    EnumerationReport,
-    compare_with_bruteforce,
-    enumerate_min_hull_sets,
-)
+from .enumeration import enumerate_min_hull_sets
 from .graph import (
     Graph,
     GraphError,

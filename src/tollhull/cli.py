@@ -31,12 +31,9 @@ import time
 from pathlib import Path
 
 from .atoms import atoms
+from .check import check
 from .convexity import extreme_vertices, toll_hull, toll_interval
-from .enumeration import (
-    EnumerationError,
-    compare_with_bruteforce,
-    enumerate_min_hull_sets,
-)
+from .enumeration import EnumerationError, enumerate_min_hull_sets
 from .graph import (
     Graph,
     GraphError,
@@ -46,16 +43,7 @@ from .graph import (
     parse_graph6,
     to_edge_list,
 )
-from .oracles import (
-    MAX_ENUM_N,
-    MAX_INTERVAL_N,
-    bf_all_intervals,
-    bf_atoms,
-    bf_extreme_vertices,
-    bf_hull,
-    bf_hull_number,
-)
-from .solver import HullResult, SolverInvariantError, solve
+from .solver import SolverInvariantError, solve
 
 EXIT_OK = 0
 EXIT_USER = 1
@@ -222,83 +210,17 @@ def _cmd_graph(args) -> int:
     return EXIT_OK
 
 
-def check(g: Graph, result: HullResult) -> dict:
-    """Cross-check the solver's ``result`` on ``g`` with every oracle the
-    graph's size allows, and return its ``verify`` report.
-
-    The checks, by the name a failing report lists under ``mismatches``:
-
-      closure         the hull set's closure is V, by ``bf_hull`` up to
-                      ``MAX_INTERVAL_N`` vertices and ``toll_hull`` above
-      hull_number     the hull number is ``bf_hull_number``'s (n <= 12)
-      intervals       ``toll_interval`` is ``bf_toll_interval`` on every
-                      pair (n <= 12)
-      atoms           ``atoms`` is ``bf_atoms`` (n <= ``MAX_ENUM_N``, 9)
-      enumeration     the stream emits every minimum hull set (n <= 9)
-      oracle_extreme  ``extreme_vertices`` is ``bf_extreme_vertices``
-                      (n <= 9)
-      extreme         the result's extreme vertices are
-                      ``extreme_vertices``'s (any n)
-      separation      G minus each non-extremal atom falls apart, the fact
-                      the solver proves instead of checking (any n)
-
-    ``agreement`` is true exactly when no check failed.
-    """
-    dec, ext = atoms(g), extreme_vertices(g)
-    small = g.n <= MAX_INTERVAL_N
-    closure = (bf_hull if small else toll_hull)(g, result.hull_set)
-    passed = {"closure": closure == frozenset(range(g.n))}
-    report: dict = {
-        "n": g.n,
-        "solver_hull_number": result.hull_number,
-        "closure_ok": passed["closure"],
-    }
-    if small:
-        oracle = bf_hull_number(g)
-        report["oracle_hull_number"] = oracle
-        passed["hull_number"] = oracle == result.hull_number
-        passed["intervals"] = all(
-            toll_interval(g, x, y) == iv
-            for (x, y), iv in bf_all_intervals(g).items()
-        )
-    else:
-        report["oracle_hull_number"] = None
-        report["skipped"] = f"oracle hull check skipped above n={MAX_INTERVAL_N}"
-    if g.n <= MAX_ENUM_N:
-        passed["atoms"] = [set(a) for a in dec.atoms] == [set(a) for a in bf_atoms(g)]
-        report["atoms_match"] = passed["atoms"]
-        enum_report = compare_with_bruteforce(g)
-        passed["enumeration"] = enum_report.complete
-        report["enumeration_complete"] = enum_report.complete
-        report["enumeration_count"] = len(enum_report.emitted)
-        passed["oracle_extreme"] = ext == bf_extreme_vertices(g)
-    else:
-        report["atoms_match"] = None
-        report["enumeration_complete"] = None
-    passed["extreme"] = result.extreme_vertices == ext
-    # a prime graph's one atom is flagged non-extremal but separates nothing
-    passed["separation"] = len(dec.atoms) < 2 or all(
-        len(g.components(a)) >= 2
-        for a, extremal in zip(dec.atoms, dec.extremal_flags)
-        if not extremal
-    )
-    failed = [name for name, ok in passed.items() if not ok]
-    report["agreement"] = not failed
-    if failed:
-        report["mismatches"] = failed
-    return report
-
-
 def _verify_one(g: Graph) -> dict:
     return check(g, solve(g))
 
 
-def _verify_jobs(path: str, fmt: str, name: str | None) -> list[tuple[str, Graph]]:
+def read_graphs(path: str, fmt: str, name: str | None) -> list[tuple[str, Graph]]:
     """(name, graph) for each non-blank graph6 line of the file, or for its
     one edge list.  A file of a directory sweep passes its name, giving
     ``<file>:<i>`` and ``<file>``; a single input passes None, giving
-    ``line:<i>`` and ``input``.  A graph that does not parse or is not
-    connected is a GraphError naming the file and, for graph6, its line."""
+    ``line:<i>`` and ``input``.  A graph that does not parse, has no
+    vertices or is not connected is a GraphError naming the file and, for
+    graph6, its line."""
     text = _read_text(path)
     if fmt == "graph6":
         prefix = "line" if name is None else name
@@ -311,12 +233,14 @@ def _verify_jobs(path: str, fmt: str, name: str | None) -> list[tuple[str, Graph
 
 
 def _parse_connected(parse, text: str, where: str) -> Graph:
-    """``parse(text)``, with ``where`` put before any error; a graph that is
-    not connected is an error."""
+    """``parse(text)``, with ``where`` put before any error; a graph with
+    no vertices or that is not connected is an error."""
     try:
         g = parse(text)
     except GraphError as exc:
         raise GraphError(f"{where}: {exc}") from None
+    if g.n == 0:
+        raise GraphError(f"{where}: graph has no vertices")
     if not g.is_connected():
         raise GraphError(f"{where}: graph is not connected")
     return g
@@ -331,10 +255,10 @@ def _cmd_verify(args) -> int:
         jobs = [
             job
             for p in sorted(Path(args.file).iterdir()) if p.suffix in formats
-            for job in _verify_jobs(str(p), formats[p.suffix], p.name)
+            for job in read_graphs(str(p), formats[p.suffix], p.name)
         ]
     else:
-        jobs = _verify_jobs(args.file, args.input_format, None)
+        jobs = read_graphs(args.file, args.input_format, None)
     if not jobs:
         raise GraphError(f"no graphs to verify in {args.file}")
     reports = _run_verify_jobs(jobs, args.jobs)

@@ -10,9 +10,9 @@ many from each interior and nothing from anywhere else.
 A block's options are the granularity-subsets of its interior that close
 to V in place of the block's pick in the solver's hull set S*; the stream
 is their product.  That it holds every minimum hull set and nothing else
-is not proven here, but ``compare_with_bruteforce`` was complete on every
-connected graph with n <= 8 (``scripts/oracle_sweep.py``), and every
-emitted set is verified (a failure is a hard error).  Prime graphs take
+is not proven here, but ``check.compare_with_bruteforce`` was complete on
+every connected graph with n <= 8 (``scripts/oracle_sweep.py``), and
+every emitted set is verified (a failure is a hard error).  Prime graphs take
 every non-adjacent pair, complete graphs all of V.
 
 Options are checked when the product first reaches them and then kept, so
@@ -22,13 +22,11 @@ O(n^2) hull checks per emission.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
 from .convexity import _mask_of, interval_kernel, toll_hull
 from .graph import Graph, GraphError
-from .oracles import bf_all_min_hull_sets
 from .solver import CharacteristicBlock, HullResult, solve
 
 
@@ -121,35 +119,3 @@ def enumerate_min_hull_sets(
             return
     if not emitted:
         raise EnumerationError("no block selection closes to V")
-
-
-@dataclass(frozen=True)
-class EnumerationReport:
-    """Outcome of comparing the stream against the brute-force enumerator."""
-
-    hull_number: int
-    emitted: tuple[frozenset[int], ...]
-    reference: tuple[frozenset[int], ...]
-    complete: bool
-    missing: tuple[frozenset[int], ...]
-
-
-def compare_with_bruteforce(g: Graph) -> EnumerationReport:
-    """Emit everything and diff against the exhaustive oracle (small n)."""
-    emitted = tuple(enumerate_min_hull_sets(g))
-    reference = tuple(bf_all_min_hull_sets(g))
-    ref_set = set(reference)
-    emitted_set = set(emitted)
-    extra = emitted_set - ref_set
-    if extra:
-        # verified emissions are minimum hull sets, so they must be known
-        # to the oracle; anything else is a bug in one of the two sides
-        raise EnumerationError(f"emitted sets unknown to the oracle: {sorted(map(sorted, extra))}")
-    missing = tuple(sorted(ref_set - emitted_set, key=sorted))
-    return EnumerationReport(
-        hull_number=len(reference[0]) if reference else 0,
-        emitted=emitted,
-        reference=reference,
-        complete=not missing,
-        missing=missing,
-    )

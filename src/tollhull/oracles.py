@@ -259,9 +259,9 @@ def bf_is_extreme(g: Graph, v: int) -> bool:
     return v in bf_extreme_vertices(g)
 
 
-def _min_sets(g: Graph, predicate, *, all_sets: bool):
-    """Smallest sets S with predicate(S); every qualifying S must contain
-    the extreme vertices, which prunes the subset enumeration."""
+def _min_sets(g: Graph, *, all_sets: bool):
+    """Smallest hull sets; every hull set must contain the extreme
+    vertices, which prunes the subset enumeration."""
     n = g.n
     if n == 1:
         return 1, [frozenset({0})]
@@ -273,7 +273,7 @@ def _min_sets(g: Graph, predicate, *, all_sets: bool):
         found = []
         for extra in combinations(rest, size - len(ext)):
             s = ext | frozenset(extra)
-            if predicate(s, intervals) == full:
+            if _closure(s, intervals) == full:
                 if not all_sets:
                     return size, [s]
                 found.append(s)
@@ -286,7 +286,7 @@ def bf_hull_number(g: Graph) -> int:
     _guard(g, MAX_INTERVAL_N, "bf_hull_number")
     if not g.is_connected():
         raise GraphError("hull number requires a connected graph")
-    size, _ = _min_sets(g, _closure, all_sets=False)
+    size, _ = _min_sets(g, all_sets=False)
     return size
 
 
@@ -294,48 +294,45 @@ def bf_all_min_hull_sets(g: Graph) -> list[frozenset[int]]:
     _guard(g, MAX_ENUM_N, "bf_all_min_hull_sets")
     if not g.is_connected():
         raise GraphError("hull sets require a connected graph")
-    _, sets = _min_sets(g, _closure, all_sets=True)
+    _, sets = _min_sets(g, all_sets=True)
     return sorted(sets, key=sorted)
-
-
-def _single_interval(s, intervals) -> frozenset[int]:
-    out = set(s)
-    for a, b in combinations(sorted(s), 2):
-        out |= intervals[(a, b)]
-    return frozenset(out)
-
-
-def bf_toll_number(g: Graph) -> int:
-    """Minimum size of a set whose single interval application covers V."""
-    _guard(g, MAX_INTERVAL_N, "bf_toll_number")
-    if not g.is_connected():
-        raise GraphError("toll number requires a connected graph")
-    size, _ = _min_sets(g, _single_interval, all_sets=False)
-    return size
 
 
 # -- decomposition ----------------------------------------------------------
 
 
-def _cliques(g: Graph):
-    """All cliques of g (including the empty set), as frozensets."""
-    out = [frozenset()]
+def _adjacency(g: Graph) -> list[int]:
+    return [sum(1 << w for w in g.adj[v]) for v in range(g.n)]
 
-    def extend(base: list[int], candidates: list[int]):
-        for idx, v in enumerate(candidates):
-            new = base + [v]
-            out.append(frozenset(new))
-            extend(new, [w for w in candidates[idx + 1:] if w in g.adj[v]])
 
-    extend([], list(range(g.n)))
+def _cliques(g: Graph) -> list[int]:
+    """All cliques of g (including the empty set), as vertex masks: each
+    is its greatest vertex v added to a clique of v's lower neighbours."""
+    out = [0]
+    for v in range(g.n):
+        lower = sum(1 << w for w in g.adj[v] if w < v)
+        out += [c | 1 << v for c in out if not c & ~lower]
     return out
 
 
-def _prime(g: Graph, s: frozenset[int], cliques) -> bool:
+def _connected(adj: list[int], s: int) -> bool:
+    """G[s] is connected (s non-empty), by a flood over adjacency masks."""
+    reach = frontier = s & -s
+    while frontier and reach != s:
+        v = frontier.bit_length() - 1
+        frontier ^= 1 << v
+        new = adj[v] & s & ~reach
+        reach |= new
+        frontier |= new
+    return reach == s
+
+
+def _prime(adj: list[int], s: int, cliques: list[int]) -> bool:
     """G[s] is prime: no clique of G strictly inside s, the empty one
     included, leaves G[s] in more than one piece."""
-    outside = frozenset(range(g.n)) - s
-    return all(len(g.components(outside | c)) < 2 for c in cliques if c < s)
+    return all(
+        _connected(adj, s & ~c) for c in cliques if not c & ~s and c != s
+    )
 
 
 def bf_is_prime(g: Graph) -> bool:
@@ -343,7 +340,7 @@ def bf_is_prime(g: Graph) -> bool:
     _guard(g, MAX_INTERVAL_N, "bf_is_prime")
     if not g.is_connected():
         raise GraphError("primality requires a connected graph")
-    return _prime(g, frozenset(range(g.n)), _cliques(g))
+    return _prime(_adjacency(g), (1 << g.n) - 1, _cliques(g))
 
 
 def bf_atoms(g: Graph) -> list[frozenset[int]]:
@@ -351,11 +348,10 @@ def bf_atoms(g: Graph) -> list[frozenset[int]]:
     _guard(g, MAX_ENUM_N, "bf_atoms")
     if not g.is_connected():
         raise GraphError("decomposition requires a connected graph")
-    cliques = _cliques(g)
-    atoms: list[frozenset[int]] = []
-    for size in range(g.n, 0, -1):
-        for sub in combinations(range(g.n), size):
-            s = frozenset(sub)
-            if not any(s <= a for a in atoms) and _prime(g, s, cliques):
-                atoms.append(s)
+    adj, cliques = _adjacency(g), _cliques(g)
+    found: list[int] = []
+    for s in sorted(range(1, 1 << g.n), key=int.bit_count, reverse=True):
+        if all(s & ~a for a in found) and _prime(adj, s, cliques):
+            found.append(s)
+    atoms = [frozenset(v for v in range(g.n) if a >> v & 1) for a in found]
     return sorted(atoms, key=sorted)

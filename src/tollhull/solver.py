@@ -36,7 +36,7 @@ therefore refutes the merged member too, and is tried before any test.
 
 Non-extremal atoms are not re-checked at run time: that each of them
 disconnects the graph is proved in ``_solve_reducible``, and ``tollhull
-verify`` (``cli.check``, which ``oracle_sweep.py`` runs too) and the
+verify`` (``check.check``, which ``oracle_sweep.py`` runs too) and the
 tier-1 tests check it on every graph they see.
 
 The t-concave interiors left in the family at the end form a family of
@@ -398,7 +398,7 @@ def _solve_reducible(g: Graph, dec: AtomDecomposition) -> HullResult:
     # meets K by (c), and is an atom of G, since a prime superset meets K
     # and lies in K | S by (a).  So P holds A's shared part, and A is
     # extremal.  `tollhull verify` and scripts/oracle_sweep.py check it
-    # through cli.check, as do the tier-1 tests.
+    # through check.check, as do the tier-1 tests.
     for seq, (atom, flag) in enumerate(zip(dec.atoms, dec.extremal_flags)):
         mem = _member(g, _mask_of(atom), seq)
         mem.extremal = flag

@@ -24,7 +24,7 @@ from tollhull.convexity import (
 )
 from tollhull.graph import c5, g12, generate, is_caterpillar, theta7, to_edge_list
 from tollhull.atoms import atoms
-from tollhull.enumeration import compare_with_bruteforce
+from tollhull.check import compare_with_bruteforce
 from tollhull.oracles import bf_hull_number, bf_is_prime, bf_toll_interval
 from tollhull.solver import TYPE1, TYPE2, TYPE3, solve
 

@@ -11,9 +11,20 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import CORPUS_8_PATH, CORPUS_PATH
-from tollhull.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USER, _pool_size, check, run
-from tollhull.graph import g12, parse_graph6, star3, theta7, to_edge_list, to_graph6
-from tollhull.solver import solve
+import tollhull.check
+from tollhull.check import check
+from tollhull.cli import EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_USER, _pool_size, run
+from tollhull.enumeration import EnumerationError
+from tollhull.graph import (
+    g12,
+    generate,
+    parse_graph6,
+    star3,
+    theta7,
+    to_edge_list,
+    to_graph6,
+)
+from tollhull.solver import SolverInvariantError, solve
 
 
 @pytest.fixture
@@ -166,17 +177,32 @@ def test_verify_names_the_line_it_cannot_parse(tmp_path, capsys):
 def test_verify_names_a_disconnected_input(tmp_path, capsys):
     g6 = tmp_path / "isolated.g6"
     g6.write_text("C?\n")
+    empty = tmp_path / "empty.g6"
+    empty.write_text("?\n")  # a graph with no vertices
     edges = tmp_path / "two.txt"
     edges.write_text("a b\nc d\n")
-    for argv, where in (
-        (["verify", str(g6), "--input-format", "graph6"], f"{g6} line 1"),
-        (["verify", str(g6), "--input-format", "graph6", "--jobs", "2"], f"{g6} line 1"),
-        (["verify", str(edges)], str(edges)),
+    graph6 = ["--input-format", "graph6"]
+    for path, flags, where, error in (
+        (g6, graph6, f"{g6} line 1", "graph is not connected"),
+        (empty, graph6, f"{empty} line 1", "graph has no vertices"),
+        (edges, [], str(edges), "graph is not connected"),
     ):
-        assert run(argv) == EXIT_USER
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {where}: graph is not connected\n"
+        for jobs in ([], ["--jobs", "2"]):
+            assert run(["verify", str(path), *flags, *jobs]) == EXIT_USER
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {where}: {error}\n"
+
+
+def test_check_skips_the_oracles_above_n_12():
+    g = generate("random-tree", 20, seed=1)
+    report = check(g, solve(g))
+    assert report["oracle_hull_number"] is None
+    assert report["skipped"] == "oracle hull check skipped above n=12"
+    assert report["atoms_match"] is None
+    assert report["enumeration_complete"] is None
+    assert "enumeration_count" not in report
+    assert report["agreement"] is True
 
 
 def test_check_agrees_on_every_25th_graph_on_8_vertices():
@@ -188,19 +214,15 @@ def test_check_agrees_on_every_25th_graph_on_8_vertices():
 
 
 def test_verify_mismatch_exit(monkeypatch, theta_file, capsys):
-    import tollhull.cli as cli
-
-    monkeypatch.setattr(cli, "bf_hull_number", lambda g: 99)
+    monkeypatch.setattr(tollhull.check, "bf_hull_number", lambda g: 99)
     assert run(["verify", theta_file]) == EXIT_MISMATCH
     assert "MISMATCH" in capsys.readouterr().out
 
 
 def test_verify_fails_on_dropped_extreme_vertex(monkeypatch, tmp_path, capsys):
-    import tollhull.cli as cli
-
-    real = cli.extreme_vertices
+    real = tollhull.check.extreme_vertices
     # the three leaves of the star are extreme; one of them goes missing
-    monkeypatch.setattr(cli, "extreme_vertices", lambda g: real(g) - {min(real(g))})
+    monkeypatch.setattr(tollhull.check, "extreme_vertices", lambda g: real(g) - {min(real(g))})
     p = tmp_path / "star.txt"
     p.write_text(to_edge_list(star3()))
     assert run(["verify", str(p), "--format", "json"]) == EXIT_MISMATCH
@@ -222,24 +244,20 @@ def verify_report(path, capsys) -> dict:
 
 
 def test_verify_checks_intervals(monkeypatch, theta_file, capsys):
-    import tollhull.cli as cli
-
-    real = cli.toll_interval
+    real = tollhull.check.toll_interval
 
     def widened(g, x, y):
         # one vertex more than the interval holds, where one is missing
         iv = real(g, x, y)
         return iv | {min(set(range(g.n)) - iv, default=x)}
 
-    monkeypatch.setattr(cli, "toll_interval", widened)
+    monkeypatch.setattr(tollhull.check, "toll_interval", widened)
     assert verify_report(theta_file, capsys)["mismatches"] == ["intervals"]
 
 
 def test_verify_checks_closure_by_brute_force(monkeypatch, theta_file, capsys):
-    import tollhull.cli as cli
-
-    real = cli.bf_hull
-    monkeypatch.setattr(cli, "bf_hull", lambda g, s: real(g, s) - {0})
+    real = tollhull.check.bf_hull
+    monkeypatch.setattr(tollhull.check, "bf_hull", lambda g, s: real(g, s) - {0})
     report = verify_report(theta_file, capsys)
     assert report["mismatches"] == ["closure"]
     assert report["closure_ok"] is False
@@ -250,9 +268,7 @@ def test_verify_checks_closure_by_brute_force(monkeypatch, theta_file, capsys):
 
 
 def test_verify_checks_separation(monkeypatch, tmp_path, capsys):
-    import tollhull.cli as cli
-
-    real = cli.atoms
+    real = tollhull.check.atoms
 
     def misflagged(g):
         # the path's end atom {0, 1} is extremal; removing it leaves 2-3
@@ -260,7 +276,7 @@ def test_verify_checks_separation(monkeypatch, tmp_path, capsys):
         dec = real(g)
         return dataclasses.replace(dec, extremal_flags=(False,) + dec.extremal_flags[1:])
 
-    monkeypatch.setattr(cli, "atoms", misflagged)
+    monkeypatch.setattr(tollhull.check, "atoms", misflagged)
     p = tmp_path / "path.txt"
     p.write_text("0 1\n1 2\n2 3\n")
     report = verify_report(p, capsys)
@@ -279,9 +295,7 @@ def test_verify_agreeing_report_keys(theta_file, capsys):
 
 
 def test_verify_fails_on_incomplete_enumeration(monkeypatch, theta_file, capsys):
-    import tollhull.cli as cli
-
-    real = cli.compare_with_bruteforce
+    real = tollhull.check.compare_with_bruteforce
 
     def incomplete(g):
         # the stream misses its first set
@@ -293,7 +307,7 @@ def test_verify_fails_on_incomplete_enumeration(monkeypatch, theta_file, capsys)
             missing=report.emitted[:1],
         )
 
-    monkeypatch.setattr(cli, "compare_with_bruteforce", incomplete)
+    monkeypatch.setattr(tollhull.check, "compare_with_bruteforce", incomplete)
     assert run(["verify", theta_file, "--format", "json"]) == EXIT_MISMATCH
     doc = json.loads(capsys.readouterr().out)
     assert doc["result"]["agreement"] is False
@@ -403,6 +417,28 @@ def test_out_of_memory_is_one_error_line(monkeypatch, theta_file, capsys, target
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: out of memory: the input is too large for this machine\n"
+
+
+@pytest.mark.parametrize(
+    "target, error, argv",
+    [
+        ("solve", SolverInvariantError, ["hull", "FILE"]),
+        ("enumerate_min_hull_sets", EnumerationError, ["enumerate", "FILE"]),
+        ("extreme_vertices", AssertionError, ["extreme", "FILE"]),
+    ],
+)
+def test_internal_error_exits_2(monkeypatch, theta_file, capsys, target, error, argv):
+    import tollhull.cli as cli
+
+    def broken(*args, **kwargs):
+        raise error("broken invariant")
+
+    monkeypatch.setattr(cli, target, broken)
+    argv = [theta_file if a == "FILE" else a for a in argv]
+    assert run(argv) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: broken invariant\n"
 
 
 FUZZED_COMMANDS = (

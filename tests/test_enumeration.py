@@ -2,10 +2,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import connected_graphs, vids
-from tollhull.enumeration import (
-    compare_with_bruteforce,
-    enumerate_min_hull_sets,
-)
+from tollhull.check import compare_with_bruteforce
+from tollhull.enumeration import enumerate_min_hull_sets
 from tollhull.graph import Graph, GraphError, c5, g12, generate, k4, star3, theta7
 from tollhull.oracles import bf_hull
 from tollhull.solver import solve

@@ -10,7 +10,6 @@ from conftest import connected_graphs, vid, vids
 from tollhull.graph import Graph, SizeLimitError, c5, g12, k4, star3, theta7
 from tollhull.oracles import (
     WalkWitness,
-    _cliques,
     bf_all_intervals,
     bf_all_min_hull_sets,
     bf_atoms,
@@ -20,7 +19,6 @@ from tollhull.oracles import (
     bf_is_extreme,
     bf_is_prime,
     bf_toll_interval,
-    bf_toll_number,
     is_tolled_walk,
 )
 
@@ -126,12 +124,6 @@ def test_min_sets_pruning_matches_full_enumeration():
         assert fast == full
 
 
-def test_toll_numbers():
-    assert bf_toll_number(star3()) == 3
-    assert bf_toll_number(k4()) == 4
-    assert bf_toll_number(g12()) == 4
-
-
 def test_extreme_vertices_fig():
     g = g12()
     sub, _ = g.subgraph(range(9))
@@ -173,9 +165,12 @@ def _atoms_subset_by_subset(g):
     for size in range(1, g.n + 1):
         for sub in combinations(range(g.n), size):
             h, _ = g.subgraph(sub)
-            full = frozenset(range(h.n))
+            proper_cliques = (
+                c for k in range(h.n) for c in combinations(range(h.n), k)
+                if h.is_clique(c)
+            )
             if h.is_connected() and all(
-                len(h.components(c)) == 1 for c in _cliques(h) if c != full
+                len(h.components(c)) == 1 for c in proper_cliques
             ):
                 primes.append(frozenset(sub))
     return sorted((a for a in primes if not any(a < b for b in primes)), key=sorted)
@@ -200,7 +195,7 @@ def test_atoms_largest_first_match_subset_by_subset(small_corpus):
 
 def test_check_computes_each_interval_once(monkeypatch):
     import tollhull.oracles as oracles
-    from tollhull.cli import check
+    from tollhull.check import check
     from tollhull.solver import solve
 
     g = _seeded_connected_graphs(1, (9,), seed=5)[0]

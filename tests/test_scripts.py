@@ -44,10 +44,13 @@ def test_oracle_sweep_rejects_empty_inputs(tmp_path):
     garbled.write_text("zzz\n")
     isolated = tmp_path / "isolated.g6"
     isolated.write_text("C?\n")  # four isolated vertices
+    no_vertices = tmp_path / "no_vertices.g6"
+    no_vertices.write_text("?\n")
     for args, message in (
         (("--corpus", str(empty)), "no graph in"),
         (("--corpus", str(garbled)), "garbled.g6 line 1: graph6 body length"),
         (("--corpus", str(isolated)), "isolated.g6 line 1: graph is not connected"),
+        (("--corpus", str(no_vertices)), "no_vertices.g6 line 1: graph has no vertices"),
         (("--corpus", str(tmp_path / "missing.g6")), "no such file"),
         (("--corpus", str(tmp_path)), "cannot read"),
         (("--random", "-5"), "--random must be at least 0"),
@@ -112,7 +115,8 @@ def test_oracle_sweep_counts_failed_checks(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(oracle_sweep, "check", failing)
     corpus = tmp_path / "one.g6"
     corpus.write_text(CORPUS_PATH.read_text().splitlines()[5] + "\n")
-    assert oracle_sweep.sweep_corpus(oracle_sweep.read_corpus(str(corpus))) == 1
+    graphs = [g for _, g in oracle_sweep.read_graphs(str(corpus), "graph6", None)]
+    assert oracle_sweep.sweep_corpus(graphs) == 1
     out = capsys.readouterr().out
     assert "mismatch on " in out and ": intervals" in out
     assert "corpus: 1 graphs, 1 discrepancies" in out

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from conftest import connected_graphs, random_trees, vid, vids
 from tollhull import solver
+from tollhull.check import compare_with_bruteforce
 from tollhull.convexity import (
     extreme_vertices,
     interval_kernel,
@@ -12,7 +13,7 @@ from tollhull.convexity import (
     toll_hull,
     toll_interval,
 )
-from tollhull.enumeration import compare_with_bruteforce, enumerate_min_hull_sets
+from tollhull.enumeration import enumerate_min_hull_sets
 from tollhull.graph import (
     Graph,
     GraphError,
