@@ -13,8 +13,11 @@ With ``--families``, times ``solve``, ``extreme_vertices``, ``atoms``
 (the decomposition alone, also part of ``solve``) and ``parse_graph`` of
 the graph's edge-list text on the five reducible families of
 ``perfbench/families.py`` (tree, caterpillar, cactus, 2-tree and chain of
-prime blocks), each graph drawn from ``random.Random(SEED)`` and
-relabelled by ``families.edge_text`` as the benchmark does.
+prime blocks) and on the two trees of ``SHAPES`` below (spider and
+broom), each graph drawn from ``random.Random(SEED)`` and relabelled by
+``families.edge_text`` as the benchmark does.  The shapes stay out of
+``families.FAMILIES``, which defines the benchmark's ``reducible``
+workload.
 
 Every repeat runs on a freshly built graph: a graph keeps the interval
 kernel of its first call, so a second call on it would time a warm kernel.
@@ -45,6 +48,24 @@ from tollhull.graph import generate, parse_graph, to_edge_list  # noqa: E402
 from tollhull.solver import solve  # noqa: E402
 
 SEED = 1  # seed of every family graph
+
+
+def spider(n: int, rng: random.Random):
+    """A hub, vertex 0, with legs of length 2, and one of length 1 when n is
+    even."""
+    return [(0 if v % 2 else v - 1, v) for v in range(1, n)]
+
+
+def broom(n: int, rng: random.Random):
+    """A path on n // 2 vertices, the handle, with every other vertex a
+    leaf on its last one."""
+    end = n // 2 - 1
+    return [(v - 1, v) for v in range(1, end + 1)] + [(end, v) for v in range(end + 1, n)]
+
+
+# trees slower than every perfbench family for their size, both made
+# without randomness (``families.edge_text`` still relabels them)
+SHAPES = {"spider": spider, "broom": broom}
 
 
 def connected_gnp(n: int, p: float):
@@ -104,7 +125,7 @@ def run_families(sizes, repeats: int) -> None:
     sys.path.insert(0, str(ROOT / "perfbench"))
     import families
 
-    for name, make in families.FAMILIES.items():
+    for name, make in {**families.FAMILIES, **SHAPES}.items():
         previous = None
         for n in sizes:
             rng = random.Random(SEED)
@@ -132,7 +153,8 @@ def main() -> int:
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     ap.add_argument("--families", action="store_true",
-                    help="time the perfbench reducible families instead of gnp graphs")
+                    help="time the perfbench reducible families, the spider and the "
+                         "broom instead of gnp graphs")
     ap.add_argument("--sizes", default=None,
                     help="comma-separated vertex counts, ascending, each at least 1, "
                          "or 4 with --families (default 50,100,200,400, "

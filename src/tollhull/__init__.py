@@ -6,12 +6,11 @@ graphs in polynomial time, and streams all minimum hull sets; brute-force
 oracles certify every computation at small scale.
 """
 
-from .atoms import AtomDecomposition, atoms, extremal_atoms, is_prime
+from .atoms import AtomDecomposition, atoms
 from .check import EnumerationReport, compare_with_bruteforce
 from .convexity import (
     extreme_vertices,
     fast_concavity_test,
-    interval_of_set,
     is_t_concave,
     is_t_convex,
     is_toll_extreme,
@@ -57,14 +56,11 @@ __all__ = [
     "atoms",
     "compare_with_bruteforce",
     "enumerate_min_hull_sets",
-    "extremal_atoms",
     "extreme_vertices",
     "fast_concavity_test",
     "fixture",
     "generate",
-    "interval_of_set",
     "is_caterpillar",
-    "is_prime",
     "is_t_concave",
     "is_t_convex",
     "is_toll_extreme",

@@ -65,8 +65,8 @@ early: on the benchmark's connected G(n, 0.1) inputs of n = 200-400
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .convexity import IntervalKernel, _members, interval_kernel
-from .graph import Graph, GraphError
+from .convexity import IntervalKernel, interval_kernel
+from .graph import Graph, GraphError, _members
 
 
 @dataclass(frozen=True)
@@ -76,9 +76,6 @@ class AtomDecomposition:
 
     atoms: tuple[frozenset[int], ...]
     extremal_flags: tuple[bool, ...]
-
-    def extremal(self) -> list[frozenset[int]]:
-        return [a for a, f in zip(self.atoms, self.extremal_flags) if f]
 
 
 def _mcs_m(k: IntervalKernel) -> tuple[list[int], list[int]]:
@@ -200,14 +197,3 @@ def _extremal_flags(n: int, ordered: list[tuple[list[int], int]]) -> tuple[bool,
         least = (shared & -shared).bit_length() - 1
         flags.append(any(b != a and not shared & ~b for b in through[least]))
     return tuple(flags)
-
-
-def is_prime(g: Graph) -> bool:
-    """True when no clique separates the graph."""
-    return len(atoms(g).atoms) == 1
-
-
-def extremal_atoms(d: AtomDecomposition) -> list[frozenset[int]]:
-    if len(d.atoms) < 2:
-        raise GraphError("extremal atoms are defined only for reducible graphs")
-    return d.extremal()

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .atoms import atoms
-from .convexity import extreme_vertices, toll_hull, toll_interval
+from .convexity import _mask_of, extreme_vertices, interval_kernel, toll_hull, toll_interval
 from .enumeration import EnumerationError, enumerate_min_hull_sets
 from .graph import Graph
 from .oracles import (
@@ -110,14 +110,14 @@ def check(g: Graph, result: HullResult) -> dict:
         report["atoms_match"] = None
         report["enumeration_complete"] = None
     passed["extreme"] = result.extreme_vertices == ext
-    # a prime graph's one atom is flagged non-extremal but separates nothing
-    passed["separation"] = len(dec.atoms) < 2 or all(
-        len(g.components(a)) >= 2
-        for a, extremal in zip(dec.atoms, dec.extremal_flags)
-        if not extremal
-    )
+    # a prime graph's one atom is flagged non-extremal but separates nothing;
+    # the rest of each other one is not empty and not one kernel flood
+    k = interval_kernel(g)
+    rests = [k.full & ~_mask_of(a) for a, f in zip(dec.atoms, dec.extremal_flags) if not f]
+    passed["separation"] = len(dec.atoms) < 2 or all(r and not k.connected(r) for r in rests)
     failed = [name for name, ok in passed.items() if not ok]
     report["agreement"] = not failed
     if failed:
         report["mismatches"] = failed
     return report
+

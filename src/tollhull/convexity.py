@@ -13,10 +13,11 @@ way, v lies in, or has a neighbour in, the component of G - N[x] holding
 y, and likewise with x and y swapped.
 
 Every operator below runs on one ``IntervalKernel`` per graph.  It keeps
-vertex sets as int masks, bit v standing for vertex v, and builds the
-components of G - N[u] for a vertex u only when an interval first needs
-them, so a closure that reaches V after a few pairs touches a few
-vertices.  The kernel lives in a slot of the ``Graph`` it belongs to and
+vertex sets as int masks, bit v standing for vertex v, takes the graph's
+own adjacency masks as they are (nothing here builds the derived
+frozensets of ``Graph.adj``), and builds the components of G - N[u] for
+a vertex u only when an interval first needs them, so a closure that
+reaches V after a few pairs touches a few vertices.  The kernel lives in a slot of the ``Graph`` it belongs to and
 is freed with it.  It also splits a vertex set into its border (the
 vertices with a neighbour outside the set) and interior, the split the
 solver and the fast concavity test share.  The public functions take and
@@ -24,19 +25,19 @@ return frozensets.
 """
 from __future__ import annotations
 
-from itertools import combinations, compress
-
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, _members
 
 
 class IntervalKernel:
     """Toll intervals of one graph on int masks (bit v stands for vertex v).
 
-    ``adj[v]`` is the mask of N(v) and ``full`` the mask of V.  The side of
-    u, built on first use, maps each vertex v outside N[u] to the re-entry
-    mask of the component C of G - N[u] holding v: C together with the
-    neighbours of u adjacent to C.  Vertices of N[u] map to 0.  Then for
-    non-adjacent x and y
+    ``adj`` is the graph's own ``masks``, so ``adj[v]`` is the mask of
+    N(v), and ``full`` is the mask of V.  ``flood`` is the package's one
+    connected-components routine: ``Graph.is_connected`` and ``check``'s
+    separation test run it too.  The side of u, built on first use, maps
+    each vertex v outside N[u] to the re-entry mask of the component C of
+    G - N[u] holding v: C together with the neighbours of u adjacent to C.
+    Vertices of N[u] map to 0.  Then for non-adjacent x and y
 
         [x,y] = {x, y} | side(x)[y] & side(y)[x].
 
@@ -47,7 +48,7 @@ class IntervalKernel:
     __slots__ = ("adj", "full", "_sides")
 
     def __init__(self, g: Graph):
-        self.adj = tuple(_mask_of(nb) for nb in g.adj)
+        self.adj = g.masks
         self.full = (1 << g.n) - 1
         self._sides: list[list[int] | None] = [None] * g.n
 
@@ -229,25 +230,6 @@ def _checked_mask(g: Graph, vertices) -> int:
     return _mask_of(vertices)
 
 
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _members(mask: int) -> list[int]:
-    """The vertices of a mask, ascending.  A mask that fits in a machine
-    word gives up its bits one at a time; a wider one is read off its
-    binary digits, which costs one pass in C instead of one big-int step
-    per member."""
-    if mask.bit_length() <= 64:
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return out
-    digits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
-    return list(compress(range(len(digits)), digits))
-
-
 def _require_connected(g: Graph) -> None:
     if not g.is_connected():
         raise GraphError("operation requires a connected graph")
@@ -263,22 +245,6 @@ def toll_interval(g: Graph, x: int, y: int) -> frozenset[int]:
         raise GraphError("toll interval endpoints must differ")
     _require_connected(g)
     return frozenset(_members(interval_kernel(g).interval(x, y)))
-
-
-def interval_of_set(g: Graph, s) -> frozenset[int]:
-    """Union of toll intervals over all pairs of s; singletons map to
-    themselves."""
-    s = frozenset(s)
-    if not s:
-        raise GraphError("interval of the empty set is undefined")
-    out = _checked_mask(g, s)
-    _require_connected(g)
-    if len(s) == 1:
-        return s
-    k = interval_kernel(g)
-    for a, b in combinations(sorted(s), 2):
-        out |= k.interval(a, b)
-    return frozenset(_members(out))
 
 
 def toll_hull(g: Graph, s) -> frozenset[int]:

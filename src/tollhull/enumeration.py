@@ -26,7 +26,7 @@ from itertools import combinations
 from typing import Iterator
 
 from .convexity import _mask_of, interval_kernel, toll_hull
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, _members
 from .solver import CharacteristicBlock, HullResult, solve
 
 
@@ -38,8 +38,9 @@ def _candidates(g: Graph, result: HullResult) -> Iterator[frozenset[int]]:
     if result.complete:
         yield frozenset(range(g.n))
     elif result.prime:
-        for u, v in combinations(range(g.n), 2):
-            if v not in g.adj[u]:
+        full = (1 << g.n) - 1
+        for u, mask in enumerate(g.masks):
+            for v in _members(full & ~mask & -(2 << u)):
                 yield frozenset({u, v})
     else:
         s_star = _mask_of(result.hull_set)

@@ -1,16 +1,19 @@
 """Immutable simple-graph core.
 
 Vertices are dense 0-based integers; external labels are kept only for
-I/O.  Graphs are frozen after construction, so every operation here is a
-pure read and safe to call concurrently.  The one slot filled later,
-``_kernel``, holds the toll-interval kernel that ``convexity`` builds on
-first use; it is a cache of values derived from the frozen adjacency.
+I/O.  A graph is one adjacency mask per vertex, ``masks[v]`` with bit w
+set when w is a neighbour of v, built straight from the edges or the
+parsed text; everything else is derived from the masks.  Graphs are
+frozen after construction, so every operation here is a pure read and
+safe to call concurrently.  Two slots are filled on first use: ``adj``,
+the neighbourhoods as frozensets, for the oracles and the public
+accessors, and ``_kernel``, the toll-interval kernel that ``convexity``
+builds on the masks.  Both are caches of values derived from the masks.
 """
 from __future__ import annotations
 
 import random
-from collections import deque
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterable, Sequence
 
 
@@ -26,14 +29,35 @@ class SizeLimitError(GraphError):
     """A brute-force guard was exceeded."""
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _members(mask: int) -> list[int]:
+    """The vertices of a mask, ascending.  A mask that fits in a machine
+    word gives up its bits one at a time; a wider one is read off its
+    binary digits, which costs one pass in C instead of one big-int step
+    per member."""
+    if mask.bit_length() <= 64:
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
+    digits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+    return list(compress(range(len(digits)), digits))
+
+
 class Graph:
-    """Finite simple undirected graph with adjacency sets.
+    """Finite simple undirected graph, one adjacency mask per vertex.
 
     Invariants: adjacency is symmetric, there are no self-loops, and vertex
-    identifiers are exactly 0..n-1.
+    identifiers are exactly 0..n-1.  ``masks`` is the one representation;
+    ``adj``, the neighbourhoods as frozensets, is built from it on first
+    read.
     """
 
-    __slots__ = ("n", "adj", "labels", "m", "_connected", "_kernel", "__weakref__")
+    __slots__ = ("n", "masks", "labels", "m", "_adj", "_connected", "_kernel", "__weakref__")
 
     def __init__(
         self,
@@ -43,49 +67,51 @@ class Graph:
     ):
         if n < 0:
             raise GraphError("vertex count must be non-negative")
-        adj: list[set[int]] = [set() for _ in range(n)]
+        masks = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
-            adj[u].add(v)
-            adj[v].add(u)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
         self.n = n
-        self.m = sum(map(len, adj)) // 2
-        self.adj: tuple[frozenset[int], ...] = tuple(map(frozenset, adj))
+        self.m = sum(map(int.bit_count, masks)) // 2
+        self.masks: tuple[int, ...] = tuple(masks)
         if labels is None:
-            self.labels: tuple[str, ...] = tuple(str(i) for i in range(n))
+            self.labels: tuple[str, ...] = tuple(map(str, range(n)))
         else:
             if len(labels) != n:
                 raise GraphError("label table size mismatch")
-            self.labels = tuple(str(x) for x in labels)
+            self.labels = tuple(map(str, labels))
+        self._adj: tuple[frozenset[int], ...] | None = None
         self._connected: bool | None = None
         self._kernel = None
 
     # -- basic accessors ------------------------------------------------
+
+    @property
+    def adj(self) -> tuple[frozenset[int], ...]:
+        """N(v) for every v, as frozensets, built from the masks on first
+        read."""
+        if self._adj is None:
+            self._adj = tuple(frozenset(_members(m)) for m in self.masks)
+        return self._adj
 
     def neighbors(self, v: int) -> frozenset[int]:
         """Open neighborhood N(v)."""
         self._check_vertex(v)
         return self.adj[v]
 
-    def closed_neighbors(self, v: int) -> frozenset[int]:
-        """Closed neighborhood N[v] = N(v) plus v itself."""
-        self._check_vertex(v)
-        return self.adj[v] | {v}
-
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return len(self.adj[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u, v)
-        return v in self.adj[u]
+        return self.masks[v].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, ascending."""
-        return [(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v]
+        return [
+            (u, v) for u, mask in enumerate(self.masks) for v in _members(mask & -(2 << u))
+        ]
 
     def id_of(self, label: str) -> int:
         try:
@@ -98,50 +124,14 @@ class Graph:
             if not (0 <= v < self.n):
                 raise GraphError(f"vertex {v} out of range for n={self.n}")
 
-    # -- connectivity primitives ----------------------------------------
-
-    def components(self, removed: Iterable[int] = ()) -> list[frozenset[int]]:
-        """Partition of V minus `removed` into maximal connected sets.
-
-        Output is ordered ascending by smallest member.
-        """
-        cut = set(removed)
-        if cut:  # is_connected, on every parsed graph, passes none
-            self._check_vertex(*cut)
-        seen = set(cut)
-        out: list[frozenset[int]] = []
-        for root in range(self.n):
-            if root in seen:
-                continue
-            comp = {root}
-            queue = deque([root])
-            seen.add(root)
-            while queue:
-                w = queue.popleft()
-                for z in self.adj[w]:
-                    if z not in seen:
-                        seen.add(z)
-                        comp.add(z)
-                        queue.append(z)
-            out.append(frozenset(comp))
-        return out
-
     def is_connected(self) -> bool:
+        """One flood of the graph's toll-interval kernel from vertex 0."""
         if self._connected is None:
-            self._connected = self.n <= 1 or len(self.components()) == 1
+            from .convexity import interval_kernel  # convexity imports graph
+
+            k = interval_kernel(self)
+            self._connected = k.connected(k.full)
         return self._connected
-
-    def separates(self, s: Iterable[int], u: int, v: int) -> bool:
-        """True when a (u,v)-path exists in G but none survives deleting s."""
-        s = set(s)
-        if u in s or v in s:
-            raise GraphError("separation endpoints must lie outside the deleted set")
-        self._check_vertex(u, v, *s)
-
-        def together(comps: list[frozenset[int]]) -> bool:
-            return any(u in c and v in c for c in comps)
-
-        return together(self.components()) and not together(self.components(s))
 
     # -- local structure -------------------------------------------------
 
@@ -149,22 +139,16 @@ class Graph:
         """Every two members adjacent; the empty set and singletons qualify."""
         vs = sorted(set(s))
         self._check_vertex(*vs)
-        return all(b in self.adj[a] for a, b in combinations(vs, 2))
-
-    def is_simplicial(self, v: int) -> bool:
-        return self.is_clique(self.neighbors(v))
+        adj = self.adj
+        return all(b in adj[a] for a, b in combinations(vs, 2))
 
     def subgraph(self, vertices: Iterable[int]) -> tuple["Graph", list[int]]:
         """Induced subgraph plus the new-id -> old-id table."""
         old = sorted(set(vertices))
         self._check_vertex(*old)
         index = {o: i for i, o in enumerate(old)}
-        edges = [
-            (index[u], index[v])
-            for u in old
-            for v in self.adj[u]
-            if u < v and v in index
-        ]
+        adj = self.adj
+        edges = [(index[u], index[v]) for u in old for v in adj[u] if u < v and v in index]
         return Graph(len(old), edges, [self.labels[o] for o in old]), old
 
     def __repr__(self) -> str:
@@ -181,21 +165,21 @@ def parse_edge_list(text: str) -> Graph:
     first-appearance order.  Duplicate edges merge silently; self-loops are
     errors.
     """
-    ids: dict[str, int] = {}
-    edges: list[tuple[int, int]] = []
+    tokens: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split()
-        if not tokens or tokens[0].startswith("#"):
-            continue
-        if len(tokens) != 2:
-            raise ParseError(f"line {lineno}: expected two vertex tokens, got {len(tokens)}")
-        a, b = tokens
-        if a == b:
-            raise ParseError(f"line {lineno}: self-loop on {a!r}")
-        edges.append((ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids))))
-    if not ids:
+        pair = raw.split()
+        # an edge first; any other line is blank, a comment or an error
+        if len(pair) == 2 and pair[0] != pair[1] and pair[0][0] != "#":
+            tokens += pair
+        elif pair and pair[0][0] != "#":
+            if len(pair) != 2:
+                raise ParseError(f"line {lineno}: expected two vertex tokens, got {len(pair)}")
+            raise ParseError(f"line {lineno}: self-loop on {pair[0]!r}")
+    if not tokens:
         raise ParseError("empty edge list")
-    return Graph(len(ids), edges, list(ids))
+    ids = {label: i for i, label in enumerate(dict.fromkeys(tokens))}
+    ends = map(ids.__getitem__, tokens)  # zipped with itself: the edges
+    return Graph(len(ids), zip(ends, ends), list(ids))
 
 
 def to_edge_list(g: Graph) -> str:
@@ -247,8 +231,10 @@ def to_graph6(g: Graph) -> str:
     """Standard graph6 encoding (no header), bit-exact."""
     n = g.n
     prefix, width = ("", 6) if n <= 62 else ("~", 18) if n <= 258047 else ("~~", 36)
+    # the pairs (i, j), i < j, by j and then i: the low j bits of each
+    # mask j, least significant first
     bits = format(n, f"0{width}b") + "".join(
-        "1" if j in g.adj[i] else "0" for j in range(1, n) for i in range(j)
+        format(g.masks[j] & (1 << j) - 1, f"0{j}b")[::-1] for j in range(1, n)
     )
     bits += "0" * (-len(bits) % 6)
     return prefix + "".join(chr(int(bits[k:k + 6], 2) + 63) for k in range(0, len(bits), 6))
@@ -355,9 +341,9 @@ def is_caterpillar(g: Graph) -> bool:
     spine = [v for v in range(g.n) if g.degree(v) > 1]
     if not spine:
         return True
-    spine_set = set(spine)
+    spine_mask = sum(1 << v for v in spine)
     # The leaf-stripped subtree is a path iff no spine vertex keeps degree > 2.
-    return all(len(g.adj[v] & spine_set) <= 2 for v in spine)
+    return all((g.masks[v] & spine_mask).bit_count() <= 2 for v in spine)
 
 
 # -- named fixtures ---------------------------------------------------------

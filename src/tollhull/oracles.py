@@ -6,7 +6,8 @@ subset enumeration, atoms by testing vertex subsets, largest first, against
 every clique.  All oracles on a graph read the one interval table that
 ``bf_all_intervals`` keeps for the graph asked about last.  The
 implementations deliberately share no machinery with the production
-operators they certify.
+operators they certify: they read the graph's adjacency (``Graph.adj`` or
+``Graph.masks``) and nothing built on it.
 
 All entry points carry hard size guards and raise instead of sampling.
 """
@@ -27,6 +28,12 @@ def _guard(g: Graph, limit: int, what: str) -> None:
         raise SizeLimitError(f"{what} is guarded to n <= {limit}, got n={g.n}")
 
 
+def _is_connected(g: Graph) -> bool:
+    """By the oracles' own flood, not the kernel's that ``Graph.is_connected``
+    runs."""
+    return _connected(g.masks, (1 << g.n) - 1)
+
+
 # -- tolled walks -----------------------------------------------------------
 
 
@@ -39,14 +46,14 @@ def is_tolled_walk(g: Graph, walk: tuple[int, ...], x: int, y: int) -> bool:
     """
     if len(walk) < 2 or walk[0] != x or walk[-1] != y or x == y:
         return False
-    k = len(walk)
+    k, adj = len(walk), g.adj
     for i in range(k - 1):
-        if walk[i + 1] not in g.adj[walk[i]]:
+        if walk[i + 1] not in adj[walk[i]]:
             return False
     for i, w in enumerate(walk, start=1):
-        if w in g.adj[x] and i != 2:
+        if w in adj[x] and i != 2:
             return False
-        if w in g.adj[y] and i != k - 1:
+        if w in adj[y] and i != k - 1:
             return False
     return True
 
@@ -69,10 +76,10 @@ def _walk_states(g: Graph, x: int, y: int, max_edges: int):
     later positions must avoid N(x), and any vertex adjacent to y may only
     step to y itself.
     """
-    n = g.n
+    n, adj = g.n, g.adj
     npos = max_edges + 1  # number of vertex slots
-    nx = g.adj[x]
-    ny = g.adj[y]
+    nx = adj[x]
+    ny = adj[y]
 
     forward: list[set[int]] = [set() for _ in range(npos + 1)]
     forward[1].add(x)
@@ -85,10 +92,10 @@ def _walk_states(g: Graph, x: int, y: int, max_edges: int):
             if w == y:
                 continue
             if w in ny:
-                if y in g.adj[w]:
+                if y in adj[w]:
                     nxt.add(y)
                 continue
-            for z in g.adj[w]:
+            for z in adj[w]:
                 if z in nx:
                     continue
                 nxt.add(z)
@@ -104,11 +111,11 @@ def _walk_states(g: Graph, x: int, y: int, max_edges: int):
             if w == y:
                 continue
             if w in ny:
-                if y in nxt and y in g.adj[w]:
+                if y in nxt and y in adj[w]:
                     here[w] = 1
                 continue
             best = None
-            for z in g.adj[w]:
+            for z in adj[w]:
                 if z in nx and i + 1 >= 3:
                     continue
                 d = nxt.get(z)
@@ -137,7 +144,7 @@ def bf_toll_interval(
     if x == y:
         raise GraphError("toll interval endpoints must differ")
     g._check_vertex(x, y)
-    if not g.is_connected():
+    if not _is_connected(g):
         raise GraphError("toll interval requires a connected graph")
     cap = (2 * g.n + 3) if max_edges is None else max_edges
     forward, backward = _walk_states(g, x, y, cap)
@@ -157,11 +164,12 @@ def bf_toll_interval(
 
 
 def _reconstruct(g, x, y, v, pos, forward, backward, cap):
-    nx, ny = g.adj[x], g.adj[y]
+    adj = g.adj
+    nx, ny = adj[x], adj[y]
 
     def step_ok(w, z, i):
         # one walk step from position i to i+1; a walk never leaves y
-        if w == y or z not in g.adj[w]:
+        if w == y or z not in adj[w]:
             return False
         if w in ny and z != y:
             return False
@@ -182,7 +190,7 @@ def _reconstruct(g, x, y, v, pos, forward, backward, cap):
     while suffix[-1] != y:
         w = suffix[-1]
         candidates = [
-            z for z in g.adj[w]
+            z for z in adj[w]
             if step_ok(w, z, i) and z in backward[i + 1]
         ]
         # shortest remaining suffix, smallest vertex as tie-break
@@ -284,7 +292,7 @@ def _min_sets(g: Graph, *, all_sets: bool):
 
 def bf_hull_number(g: Graph) -> int:
     _guard(g, MAX_INTERVAL_N, "bf_hull_number")
-    if not g.is_connected():
+    if not _is_connected(g):
         raise GraphError("hull number requires a connected graph")
     size, _ = _min_sets(g, all_sets=False)
     return size
@@ -292,7 +300,7 @@ def bf_hull_number(g: Graph) -> int:
 
 def bf_all_min_hull_sets(g: Graph) -> list[frozenset[int]]:
     _guard(g, MAX_ENUM_N, "bf_all_min_hull_sets")
-    if not g.is_connected():
+    if not _is_connected(g):
         raise GraphError("hull sets require a connected graph")
     _, sets = _min_sets(g, all_sets=True)
     return sorted(sets, key=sorted)
@@ -301,21 +309,17 @@ def bf_all_min_hull_sets(g: Graph) -> list[frozenset[int]]:
 # -- decomposition ----------------------------------------------------------
 
 
-def _adjacency(g: Graph) -> list[int]:
-    return [sum(1 << w for w in g.adj[v]) for v in range(g.n)]
-
-
 def _cliques(g: Graph) -> list[int]:
     """All cliques of g (including the empty set), as vertex masks: each
     is its greatest vertex v added to a clique of v's lower neighbours."""
     out = [0]
     for v in range(g.n):
-        lower = sum(1 << w for w in g.adj[v] if w < v)
+        lower = g.masks[v] & (1 << v) - 1
         out += [c | 1 << v for c in out if not c & ~lower]
     return out
 
 
-def _connected(adj: list[int], s: int) -> bool:
+def _connected(adj: tuple[int, ...], s: int) -> bool:
     """G[s] is connected (s non-empty), by a flood over adjacency masks."""
     reach = frontier = s & -s
     while frontier and reach != s:
@@ -327,7 +331,7 @@ def _connected(adj: list[int], s: int) -> bool:
     return reach == s
 
 
-def _prime(adj: list[int], s: int, cliques: list[int]) -> bool:
+def _prime(adj: tuple[int, ...], s: int, cliques: list[int]) -> bool:
     """G[s] is prime: no clique of G strictly inside s, the empty one
     included, leaves G[s] in more than one piece."""
     return all(
@@ -338,17 +342,17 @@ def _prime(adj: list[int], s: int, cliques: list[int]) -> bool:
 def bf_is_prime(g: Graph) -> bool:
     """No proper clique subset separates the graph (literal definition)."""
     _guard(g, MAX_INTERVAL_N, "bf_is_prime")
-    if not g.is_connected():
+    if not _is_connected(g):
         raise GraphError("primality requires a connected graph")
-    return _prime(_adjacency(g), (1 << g.n) - 1, _cliques(g))
+    return _prime(g.masks, (1 << g.n) - 1, _cliques(g))
 
 
 def bf_atoms(g: Graph) -> list[frozenset[int]]:
     """Maximal prime induced subgraphs, found largest first."""
     _guard(g, MAX_ENUM_N, "bf_atoms")
-    if not g.is_connected():
+    if not _is_connected(g):
         raise GraphError("decomposition requires a connected graph")
-    adj, cliques = _adjacency(g), _cliques(g)
+    adj, cliques = g.masks, _cliques(g)
     found: list[int] = []
     for s in sorted(range(1, 1 << g.n), key=int.bit_count, reverse=True):
         if all(s & ~a for a in found) and _prime(adj, s, cliques):

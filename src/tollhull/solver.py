@@ -58,12 +58,11 @@ from .atoms import AtomDecomposition, atoms
 from .convexity import (
     IntervalKernel,
     _mask_of,
-    _members,
     fast_concavity_test,
     interval_kernel,
     toll_interval,
 )
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, _members
 
 
 class SolverInvariantError(RuntimeError):

@@ -101,6 +101,31 @@ def vids(g: Graph, labels: str) -> frozenset:
     return frozenset(g.id_of(tok) for tok in labels.split())
 
 
+def is_simplicial(g: Graph, v: int) -> bool:
+    """N(v) is a clique."""
+    return g.is_clique(g.neighbors(v))
+
+
+def components(g: Graph, removed=()) -> list[frozenset]:
+    """The components of G minus ``removed``, ascending by least member, by
+    a breadth-first search over the frozensets of ``g.adj``: a reference
+    that shares nothing with the kernel's mask flood."""
+    seen = set(removed)
+    out = []
+    for root in range(g.n):
+        if root in seen:
+            continue
+        seen.add(root)
+        comp, frontier = {root}, [root]
+        for w in frontier:
+            for z in g.adj[w] - seen:
+                seen.add(z)
+                comp.add(z)
+                frontier.append(z)
+        out.append(frozenset(comp))
+    return out
+
+
 # -- hypothesis strategies ---------------------------------------------------
 
 
@@ -118,7 +143,7 @@ def connected_graphs(draw, min_n=2, max_n=8, p_choices=(0.25, 0.4, 0.6, 0.8)):
     g = Graph(n, edges)
     if not g.is_connected():
         # deterministically connect the components along their minima
-        comps = g.components()
+        comps = components(g)
         extra = [
             (min(comps[i]), min(comps[i + 1])) for i in range(len(comps) - 1)
         ]

@@ -3,11 +3,19 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from conftest import connected_graphs, family_graphs, vids
-from tollhull.atoms import _mcs_m, atoms, extremal_atoms, is_prime
-from tollhull.convexity import _members, interval_kernel
-from tollhull.graph import Graph, GraphError, c5, g12, generate, k4, theta7
+from conftest import components, connected_graphs, family_graphs, vids
+from tollhull.atoms import _mcs_m, atoms
+from tollhull.convexity import interval_kernel
+from tollhull.graph import Graph, GraphError, _members, c5, g12, generate, k4, theta7
 from tollhull.oracles import bf_atoms, bf_is_prime
+
+
+def is_prime(g: Graph) -> bool:
+    return len(atoms(g).atoms) == 1
+
+
+def extremal(dec) -> list[frozenset[int]]:
+    return [a for a, flag in zip(dec.atoms, dec.extremal_flags) if flag]
 
 
 def test_primality_fixtures():
@@ -29,7 +37,7 @@ def test_fig_decomposition():
         frozenset("v8 v9 v10 v11 v12".split()),
     ]
     assert dec.extremal_flags == (True, False, False, True)
-    ext = extremal_atoms(dec)
+    ext = extremal(dec)
     assert ext == [vids(g, "v1 v2 v3 v4 v5"), vids(g, "v8 v9 v10 v11 v12")]
 
 
@@ -37,8 +45,6 @@ def test_complete_graph_single_atom():
     dec = atoms(generate("complete", 5))
     assert dec.atoms == (frozenset(range(5)),)
     assert dec.extremal_flags == (False,)
-    with pytest.raises(GraphError):
-        extremal_atoms(dec)
 
 
 def test_path_atoms_and_ends():
@@ -49,7 +55,7 @@ def test_path_atoms_and_ends():
         frozenset({1, 2}),
         frozenset({2, 3}),
     )
-    assert extremal_atoms(dec) == [frozenset({0, 1}), frozenset({2, 3})]
+    assert extremal(dec) == [frozenset({0, 1}), frozenset({2, 3})]
 
 
 def test_theta_both_extremal(theta_graph):
@@ -83,7 +89,7 @@ def test_tree_atoms_are_its_edges(seed):
     dec = atoms(g)
     assert set(dec.atoms) == {frozenset(e) for e in g.edges()}
     leaf_edges = {a for a in dec.atoms if any(len(g.adj[v]) == 1 for v in a)}
-    assert set(dec.extremal()) == leaf_edges
+    assert set(extremal(dec)) == leaf_edges
 
 
 def test_two_tree_atoms_are_its_triangles():
@@ -183,12 +189,12 @@ def test_generator_cuts_match_minimality_scan_on_gnp(p):
 
 def non_extremal_components(g: Graph) -> list[int]:
     """For each non-extremal atom A of a reducible g, the number of
-    components of G - A, counted by the oracles' ``Graph.components``."""
+    components of G - A, counted by the test-local ``components``."""
     dec = atoms(g)
     if len(dec.atoms) < 2:
         return []
     return [
-        len(g.components(atom))
+        len(components(g, atom))
         for atom, extremal in zip(dec.atoms, dec.extremal_flags)
         if not extremal
     ]

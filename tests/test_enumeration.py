@@ -38,7 +38,7 @@ def test_prime_graph_all_nonadjacent_pairs():
         frozenset({u, v})
         for u in range(5)
         for v in range(u + 1, 5)
-        if not g.has_edge(u, v)
+        if v not in g.adj[u]
     ]
     assert sorted(got, key=sorted) == sorted(want, key=sorted)
     rep = compare_with_bruteforce(g)

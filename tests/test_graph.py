@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import DATA_DIR, connected_graphs, random_trees, vids
+from conftest import DATA_DIR, components, connected_graphs, is_simplicial, random_trees, vids
+from tollhull.convexity import _mask_of, _members, interval_kernel
 from tollhull.graph import (
     Graph,
     GraphError,
@@ -69,13 +72,13 @@ def test_fig_neighborhoods():
     g = g12()
     assert g.neighbors(g.id_of("v11")) == vids(g, "v10 v12")
     assert g.neighbors(g.id_of("v5")) == vids(g, "v1 v2 v3 v4 v6 v7")
-    assert g.closed_neighbors(g.id_of("v11")) == vids(g, "v10 v11 v12")
+    assert g.degree(g.id_of("v11")) == 2
 
 
 def test_isolated_vertex_neighborhoods():
     g = Graph(1)
     assert g.neighbors(0) == frozenset()
-    assert g.closed_neighbors(0) == {0}
+    assert g.degree(0) == 0 and g.masks == (0,)
 
 
 def test_neighbors_out_of_range():
@@ -84,39 +87,57 @@ def test_neighbors_out_of_range():
     # a negative vertex must not be read through Python's negative indexing
     for call in (
         lambda: Graph(3).neighbors(3),
-        lambda: star.is_simplicial(-1),
-        lambda: star.is_simplicial(99),
+        lambda: star.degree(-1),
+        lambda: star.degree(99),
+        lambda: star.is_clique({-1, 0}),
         lambda: cycle.subgraph({-1, 0}),
         lambda: cycle.subgraph({99}),
-        lambda: cycle.components([99]),
-        lambda: cycle.separates([99, 1], 0, 2),
     ):
         with pytest.raises(GraphError):
             call()
 
 
+def flood_components(g, removed=()) -> list[frozenset]:
+    """The components of G minus ``removed`` by the kernel's flood, the
+    package's one components routine, ascending by least member."""
+    k = interval_kernel(g)
+    rest, out = k.full & ~_mask_of(removed), []
+    while rest:
+        comp, _ = k.flood(rest, rest & -rest)
+        out.append(frozenset(_members(comp)))
+        rest &= ~comp
+    return out
+
+
+def separates(g, s, u, v) -> bool:
+    """A (u,v)-path exists in G but none survives deleting s, by kernel
+    floods from u."""
+    k = interval_kernel(g)
+
+    def joined(inside):
+        return k.flood(inside, 1 << u)[0] >> v & 1
+
+    return bool(joined(k.full)) and not joined(k.full & ~_mask_of(s))
+
+
 def test_separates_on_fig_graph():
     g = g12()
-    assert g.separates(vids(g, "v4 v5"), g.id_of("v1"), g.id_of("v6"))
-    assert not g.separates(vids(g, "v8"), g.id_of("v7"), g.id_of("v10"))
-    assert not g.separates(frozenset(), g.id_of("v1"), g.id_of("v6"))
-
-
-def test_separates_rejects_endpoint_in_set():
-    g = g12()
-    with pytest.raises(GraphError):
-        g.separates(vids(g, "v1"), g.id_of("v1"), g.id_of("v6"))
+    assert separates(g, vids(g, "v4 v5"), g.id_of("v1"), g.id_of("v6"))
+    assert not separates(g, vids(g, "v8"), g.id_of("v7"), g.id_of("v10"))
+    assert not separates(g, frozenset(), g.id_of("v1"), g.id_of("v6"))
 
 
 def test_components():
     g = g12()
     removed = vids(g, "v1 v2 v3 v4 v5")
-    comps = g.components(removed)
-    assert comps == [vids(g, "v6 v7 v8 v9 v10 v11 v12")]
+    comps = flood_components(g, removed)
+    assert comps == components(g, removed) == [vids(g, "v6 v7 v8 v9 v10 v11 v12")]
 
     path = parse_edge_list("a b\nb c")
-    assert path.components({1}) == [frozenset({0}), frozenset({2})]
-    assert g.components() == [frozenset(range(12))]
+    assert flood_components(path, {1}) == [frozenset({0}), frozenset({2})]
+    assert flood_components(g) == [frozenset(range(12))]
+    assert not Graph(4, [(0, 1), (2, 3)]).is_connected()
+    assert Graph(0).is_connected() and Graph(1).is_connected()
 
 
 def test_cliques_and_simplicial():
@@ -124,8 +145,8 @@ def test_cliques_and_simplicial():
     assert g.is_clique(vids(g, "v1 v2 v3 v4 v5"))
     assert g.is_clique(frozenset())
     assert g.is_clique({0})
-    assert g.is_simplicial(g.id_of("v1"))
-    assert not g.is_simplicial(g.id_of("v10"))
+    assert is_simplicial(g, g.id_of("v1"))
+    assert not is_simplicial(g, g.id_of("v10"))
 
 
 def test_generate_complete_and_cycle():
@@ -170,10 +191,11 @@ def test_separation_matches_components(g):
 
     removed = frozenset(v for v in range(g.n) if v % 3 == 0)
     keep = [v for v in range(g.n) if v not in removed]
-    comps = g.components(removed)
+    comps = components(g, removed)
+    assert flood_components(g, removed) == comps
     for u, v in itertools.combinations(keep, 2):
         same = any(u in c and v in c for c in comps)
-        assert g.separates(removed, u, v) == (not same)
+        assert separates(g, removed, u, v) == (not same)
 
 
 def test_graph6_known_encoding():
@@ -283,3 +305,81 @@ def test_named_fixtures():
     t = theta7()
     assert t.neighbors(t.id_of("s")) == vids(t, "t z1 p")
     assert c5().is_connected()
+
+
+# -- masks against a set-based reference ------------------------------------
+
+
+def reference_edge_list(text):
+    """Labels and adjacency sets of an edge-list text, read line by line."""
+    ids, adj = {}, []
+    for raw in text.splitlines():
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        a, b = tokens
+        for label in (a, b):
+            if label not in ids:
+                ids[label] = len(ids)
+                adj.append(set())
+        adj[ids[a]].add(ids[b])
+        adj[ids[b]].add(ids[a])
+    return list(ids), adj
+
+
+def reference_graph6(line):
+    """Adjacency sets of a graph6 line with a one-byte size."""
+    n = ord(line[0]) - 63
+    bits = "".join(format(ord(c) - 63, "06b") for c in line[1:])
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    adj = [set() for _ in range(n)]
+    for (i, j), bit in zip(pairs, bits):
+        if bit == "1":
+            adj[i].add(j)
+            adj[j].add(i)
+    return adj
+
+
+def assert_matches_reference(g, labels, adj):
+    n = len(adj)
+    edges = [(u, v) for u in range(n) for v in sorted(adj[u]) if u < v]
+    size = [n] if n <= 62 else [63, n >> 12, n >> 6 & 63, n & 63]
+    bits = "".join("1" if i in adj[j] else "0" for j in range(1, n) for i in range(j))
+    bits += "0" * (-len(bits) % 6)
+    size += [int(bits[k:k + 6], 2) for k in range(0, len(bits), 6)]
+    assert (g.n, g.labels) == (n, tuple(labels))
+    assert g.masks == tuple(sum(1 << w for w in nb) for nb in adj)
+    assert g.adj == tuple(map(frozenset, adj))
+    assert g.m == len(edges) == sum(map(len, adj)) // 2
+    assert g.edges() == edges
+    assert to_edge_list(g) == "".join(f"{labels[u]} {labels[v]}\n" for u, v in edges)
+    assert to_graph6(g) == "".join(chr(x + 63) for x in size)
+
+
+def test_masks_match_reference_on_corpus():
+    lines = (DATA_DIR / "connected_le7.g6").read_text().split()
+    assert len(lines) == 996
+    for line in lines:
+        g = parse_graph6(line)
+        assert_matches_reference(g, [str(v) for v in range(g.n)], reference_graph6(line))
+        assert to_graph6(g) == line
+
+
+@pytest.mark.parametrize("n, p", [(2, 1.0), (30, 0.1), (80, 0.3), (150, 0.05)])
+def test_masks_match_reference_on_messy_edge_lists(n, p):
+    rng = random.Random(n)
+    edges = generate("gnp", n, p, seed=n).edges()
+    lines = ["# gnp", ""]
+    for u, v in edges:
+        lines.append(f"  x{v}\t x{u} " if rng.random() < 0.5 else f"x{u} x{v}")
+        if rng.random() < 0.2:
+            lines += [f"x{v} x{u}", "", "# again"]
+    rng.shuffle(lines)
+    text = "\n".join(lines)
+    labels, adj = reference_edge_list(text)
+    assert_matches_reference(parse_edge_list(text), labels, adj)
+    # the same edges, each given twice and once reversed, straight to Graph
+    ids = {label: i for i, label in enumerate(labels)}
+    pairs = [(ids[f"x{u}"], ids[f"x{v}"]) for u, v in edges]
+    again = Graph(len(labels), pairs + [(v, u) for u, v in pairs], labels)
+    assert_matches_reference(again, labels, adj)

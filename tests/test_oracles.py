@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import connected_graphs, vid, vids
+from conftest import components, connected_graphs, vid, vids
 from tollhull.graph import Graph, SizeLimitError, c5, g12, k4, star3, theta7
 from tollhull.oracles import (
     WalkWitness,
@@ -170,7 +170,7 @@ def _atoms_subset_by_subset(g):
                 if h.is_clique(c)
             )
             if h.is_connected() and all(
-                len(h.components(c)) == 1 for c in proper_cliques
+                len(components(h, c)) == 1 for c in proper_cliques
             ):
                 primes.append(frozenset(sub))
     return sorted((a for a in primes if not any(a < b for b in primes)), key=sorted)

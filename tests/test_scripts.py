@@ -81,7 +81,7 @@ def test_timing_scaling_families_smoke():
     done = script(TIMING, "--families", "--sizes", "8,16", "--repeats", "1")
     assert done.returncode == 0, done.stdout + done.stderr
     rows = [re.sub(r"=\s+", "=", line).split() for line in done.stdout.splitlines()]
-    families = ("tree", "caterpillar", "cactus", "2-tree", "prime-chain")
+    families = ("tree", "caterpillar", "cactus", "2-tree", "prime-chain", "spider", "broom")
     assert [row[:2] for row in rows] == [
         [name, f"n={n}"] for name in families for n in (8, 16)
     ]

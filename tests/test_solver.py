@@ -237,7 +237,7 @@ def test_prime_path_results_have_size_two():
         assert r.prime
         assert r.hull_number == 2
         u, v = sorted(r.hull_set)
-        assert not g.has_edge(u, v)
+        assert v not in g.adj[u]
 
 
 def test_granularity_lower_bound(small_corpus):
