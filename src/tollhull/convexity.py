@@ -15,13 +15,13 @@ y, and likewise with x and y swapped.
 Every operator below runs on one ``IntervalKernel`` per graph.  It keeps
 vertex sets as int masks, bit v standing for vertex v, takes the graph's
 own adjacency masks as they are (nothing here builds the derived
-frozensets of ``Graph.adj``), and builds the components of G - N[u] for
-a vertex u only when an interval first needs them, so a closure that
-reaches V after a few pairs touches a few vertices.  The kernel lives in a slot of the ``Graph`` it belongs to and
-is freed with it.  It also splits a vertex set into its border (the
-vertices with a neighbour outside the set) and interior, the split the
-solver and the fast concavity test share.  The public functions take and
-return frozensets.
+frozensets of ``Graph.adj``), and floods a component of G - N[u] only
+when an interval first reads one of its vertices, so a closure that
+reaches V after a few pairs floods a few components.  The kernel lives
+in a slot of the ``Graph`` it belongs to and is freed with it.  It also
+splits a vertex set into its border (the vertices with a neighbour
+outside the set) and interior, the split the solver and the fast
+concavity test share.  The public functions take and return frozensets.
 """
 from __future__ import annotations
 
@@ -34,42 +34,49 @@ class IntervalKernel:
     ``adj`` is the graph's own ``masks``, so ``adj[v]`` is the mask of
     N(v), and ``full`` is the mask of V.  ``flood`` is the package's one
     connected-components routine: ``Graph.is_connected`` and ``check``'s
-    separation test run it too.  The side of u, built on first use, maps
-    each vertex v outside N[u] to the re-entry mask of the component C of
-    G - N[u] holding v: C together with the neighbours of u adjacent to C.
-    Vertices of N[u] map to 0.  Then for non-adjacent x and y
+    separation test run it too.  ``side(u, v)`` is the re-entry mask of
+    the component C of G - N[u] holding v: C together with the neighbours
+    of u adjacent to C, or 0 for v in N[u].  Then for non-adjacent x and y
 
-        [x,y] = {x, y} | side(x)[y] & side(y)[x].
+        [x,y] = {x, y} | side(x, y) & side(y, x).
 
-    Sides never change once built, so concurrent readers at worst build
-    the same side twice.
+    Each component is flooded the first time one of its vertices is asked
+    for and then stored for all its members, in one list of n entries per
+    vertex u asked about (-1 for a vertex not read yet).  Stored entries
+    never change, so a racing reader at worst floods the same component
+    twice.
     """
 
-    __slots__ = ("adj", "full", "_sides")
+    __slots__ = ("adj", "full", "_sides", "_unread")
 
     def __init__(self, g: Graph):
         self.adj = g.masks
         self.full = (1 << g.n) - 1
-        self._sides: list[list[int] | None] = [None] * g.n
+        # every vertex shares this row until its first side is flooded
+        self._unread = [-1] * g.n
+        self._sides = [self._unread] * g.n
 
-    def side(self, u: int) -> list[int]:
-        got = self._sides[u]
-        if got is None:
-            got = self._sides[u] = self._build_side(u)
+    def side(self, u: int, v: int) -> int:
+        got = self._sides[u][v]
+        if got < 0:
+            got = self._flood_side(u, v)
         return got
 
-    def _build_side(self, u: int) -> list[int]:
-        side = [0] * len(self.adj)
-        rest = self.full & ~(self.adj[u] | 1 << u)
-        while rest:
-            # comp is a whole component of G - N[u], so its neighbours lie
-            # in comp and N(u)
-            comp, touched = self.flood(rest, rest & -rest)
-            reentry = comp | touched
-            for v in _members(comp):
-                side[v] = reentry
-            rest &= ~comp
-        return side
+    def _flood_side(self, u: int, v: int) -> int:
+        row = self._sides[u]
+        if row is self._unread:
+            row = self._sides[u] = [-1] * len(row)
+        cut = self.adj[u] | 1 << u
+        if cut >> v & 1:
+            row[v] = 0
+            return 0
+        # comp is a whole component of G - N[u], so its neighbours lie in
+        # comp and N(u)
+        comp, touched = self.flood(self.full & ~cut, 1 << v)
+        reentry = comp | touched
+        for w in _members(comp):
+            row[w] = reentry
+        return reentry
 
     def flood(
         self, inside: int, frontier: int, until: int = 0
@@ -105,11 +112,12 @@ class IntervalKernel:
                 return False
         return True
 
-    def border(self, mask: int) -> int:
+    def border(self, mask: int, among: int = -1) -> int:
         """The vertices of the mask with a neighbour outside it; the rest of
-        the mask is its interior."""
+        the mask is its interior.  Only the vertices of ``among`` are
+        tested, so it must hold the whole border."""
         adj, outside = self.adj, ~mask
-        out, rest = 0, mask
+        out, rest = 0, mask & among
         while rest:
             low = rest & -rest
             if adj[low.bit_length() - 1] & outside:
@@ -126,7 +134,7 @@ class IntervalKernel:
         ends = 1 << x | 1 << y
         if self.adj[x] & 1 << y:
             return ends
-        return ends | self.side(x)[y] & self.side(y)[x]
+        return ends | self.side(x, y) & self.side(y, x)
 
     def hull(self, mask: int) -> int:
         """The toll hull of a mask, 0 for 0.  A worklist expands each pair
@@ -149,12 +157,13 @@ class IntervalKernel:
         interval holds v0, as ``1 << u | 1 << z``, or 0 when there is none.
 
         v0 must be an interior vertex of the block: it has no neighbour
-        outside, so for outside u the side of u maps v0 to the component of
-        G - N[u] holding it.  Pairs are tried by u, then by z, so the scan
-        stops at the first pair that holds v0.  Once it has tried as many
-        pairs as there are outside vertices without a hit, ``_pair_exists``
-        decides in one pass whether any pair is left to find; if none is,
-        the answer is 0, and otherwise the scan goes on to the first one.
+        outside, so for outside u, ``side(u, v0)`` is the re-entry mask of
+        the component of G - N[u] holding it.  Pairs are tried by u, then
+        by z, so the scan stops at the first pair that holds v0.  Once it
+        has tried as many pairs as there are outside vertices without a
+        hit, ``_pair_exists`` decides in one pass whether any pair is left
+        to find; if none is, the answer is 0, and otherwise the scan goes on
+        to the first one.
         When the block's border is a clique and its interior connected, a
         pair exists exactly when the interior is not t-concave (see
         ``fast_concavity_test``).
@@ -162,10 +171,10 @@ class IntervalKernel:
         outside = self.full & ~block
         budget = outside.bit_count()
         for u in _members(outside):
-            later = self.side(u)[v0] & outside & ~self.adj[u] & -(2 << u)
+            later = self.side(u, v0) & outside & ~self.adj[u] & -(2 << u)
             while later:
                 low = later & -later
-                if self.side(low.bit_length() - 1)[v0] >> u & 1:
+                if self.side(low.bit_length() - 1, v0) >> u & 1:
                     return 1 << u | low
                 later ^= low
                 budget -= 1
@@ -195,10 +204,11 @@ class IntervalKernel:
         misses y; and F(y) is not within F(x), being at least as large and
         different.  So {x,y} is a pair.  Conversely every pair is caught
         when its later member is taken.  The cost is one sort and
-        O(|outside|) mask operations, besides the sides not built yet.
+        O(|outside|) mask operations, besides one flood of F(x) for each x
+        whose F(x) was not flooded before.
         """
         reach = sorted(
-            ((self.side(x)[v0] & ~self.adj[x], x) for x in _members(outside)),
+            ((self.side(x, v0) & ~self.adj[x], x) for x in _members(outside)),
             key=lambda fx: fx[0].bit_count(),
             reverse=True,
         )
@@ -320,9 +330,9 @@ def fast_concavity_test(g: Graph, vertices) -> bool:
     ``IntervalKernel.concavity_witness``, which looks for such a pair.  A
     concave verdict costs at most as many pair tests as there are outside
     vertices and one sort with O(n) mask operations; a refuted one stops at
-    its first pair, after O(n^2) pair tests at worst.  Either adds O(n)
-    mask operations to build the kernel side of each outside vertex not
-    built before.
+    its first pair, after O(n^2) pair tests at worst.  Either adds, for
+    each outside u, one flood of the component of G - N[u] holding v0 if
+    no earlier call flooded it.
 
     A block outside that scope raises ``GraphError``, as does a vertex out
     of range.  The preconditions are checked on masks: the border with

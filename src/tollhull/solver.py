@@ -158,8 +158,10 @@ class _Member:
 _by_key = attrgetter("key")
 
 
-def _member(g: Graph, mask: int, seq: int) -> _Member:
-    border = interval_kernel(g).border(mask)
+def _member(g: Graph, mask: int, seq: int, among: int = -1) -> _Member:
+    """The member of a mask; ``among`` must hold its border (see
+    ``IntervalKernel.border``)."""
+    border = interval_kernel(g).border(mask, among)
     return _Member(mask=mask, border=border, key=tuple(_members(mask)), seq=seq)
 
 
@@ -260,14 +262,13 @@ def _witnessed_pair(k: IntervalKernel, parts, circ: int) -> tuple[int, str]:
     pool = _mask_of(owner)
     for same, label in ((True, "choice_5"), (False, "choice_6")):
         for a in _members(pool):
-            # the side of a maps b to its component of G - N[a] plus
-            # neighbors of a; masking those neighbors off leaves the
-            # component
+            # side(a, b) is b's component of G - N[a] plus neighbors of a;
+            # masking those neighbors off leaves the component
             for b in _members(pool & ~k.adj[a] & -(2 << a)):
                 if (
                     (owner[a] == owner[b]) == same
-                    and k.side(a)[b] & circ & ~k.adj[a]
-                    and k.side(b)[a] & circ & ~k.adj[b]
+                    and k.side(a, b) & circ & ~k.adj[a]
+                    and k.side(b, a) & circ & ~k.adj[b]
                 ):
                     return 1 << a | 1 << b, label
     raise SolverInvariantError("choice_6 found no candidate")
@@ -442,6 +443,7 @@ def _solve_reducible(g: Graph, dec: AtomDecomposition) -> HullResult:
     waiting: list[_Member] = []
     iteration = 0
     budget = len(dec.atoms) + 1
+    cliques: set[int] = set()  # member overlaps known to be cliques
     while queue:
         target = heappop(queue)[2]
         if target not in index.members:
@@ -453,15 +455,18 @@ def _solve_reducible(g: Graph, dec: AtomDecomposition) -> HullResult:
         iteration += 1
         if iteration > budget:
             raise SolverInvariantError("merge loop exceeded its termination bound")
-        new_mask = chosen = 0
+        new_mask = chosen = borders = 0
         for p in parts:
             index.remove(p)
             new_mask |= p.mask
             chosen |= p.chosen
-        new_member = _member(g, new_mask, len(dec.atoms) + iteration)
+            borders |= p.border
+        # a vertex interior to a part keeps its neighbours in the merge, so
+        # only the parts' borders can hold the merged border
+        new_member = _member(g, new_mask, len(dec.atoms) + iteration, borders)
         _classify(g, new_member, parts)
         new_member.chosen = chosen
-        _check_family_invariants(g, new_member, index.meeting(new_mask))
+        _check_family_invariants(g, new_member, index.meeting(new_mask), cliques)
         index.add(new_member)
         held, waiting = waiting, []
         for f in held:
@@ -563,17 +568,23 @@ def _apply_merge_choice(g, target, parts, new_member, s, entry) -> int:
     return s | pick
 
 
-def _check_family_invariants(g, new_member, others):
+def _check_family_invariants(g, new_member, others, cliques):
     """The freshly merged member keeps the family laws: interiors disjoint
-    from every other member, pairwise clique overlaps.  ``others`` needs to hold only the members meeting it, since a disjoint
-    member keeps both laws."""
+    from every other member, pairwise clique overlaps.  ``others`` needs to
+    hold only the members meeting it, since a disjoint member keeps both
+    laws.  ``cliques`` holds the overlaps already found to be cliques, in
+    this and earlier merges, and gains the new ones: around a hub each
+    unmerged member meets every merge in the same vertices."""
     interior = new_member.interior
     k = interval_kernel(g)
     for o in others:
         if interior & o.interior:
             raise SolverInvariantError("member interiors overlap")
-        if not k.clique(new_member.mask & o.mask):
-            raise SolverInvariantError("member overlap is not a clique")
+        overlap = new_member.mask & o.mask
+        if overlap not in cliques:
+            if not k.clique(overlap):
+                raise SolverInvariantError("member overlap is not a clique")
+            cliques.add(overlap)
 
 
 def _finish(members, s, trace) -> HullResult:

@@ -42,20 +42,34 @@ def corpus_8():
     return parse_graph6_file(CORPUS_8_PATH.read_text())
 
 
+def load_module(path: Path):
+    """The module of a script outside the package, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def family_graphs(sizes):
     """The graphs of the five reducible benchmark families of
     ``perfbench/families.py`` at each size and seeds 0-4, drawn as
     ``scripts/timing_scaling.py`` draws them."""
-    path = ROOT / "perfbench" / "families.py"
-    spec = importlib.util.spec_from_file_location("families", path)
-    families = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(families)
+    families = load_module(ROOT / "perfbench" / "families.py")
     for make in families.FAMILIES.values():
         for n in sizes:
             for seed in range(5):
                 rng = random.Random(seed)
                 text = families.edge_text(n, make(n, rng), rng)
                 yield parse_graph(text, "edge-list")
+
+
+def shape_graph(name: str, n: int) -> Graph:
+    """The graph of ``scripts/timing_scaling.py``'s ``SHAPES[name]`` at n
+    vertices, drawn and relabelled as that script draws it."""
+    timing = load_module(ROOT / "scripts" / "timing_scaling.py")
+    families = load_module(ROOT / "perfbench" / "families.py")
+    rng = random.Random(timing.SEED)
+    return parse_graph(families.edge_text(n, timing.SHAPES[name](n, rng), rng), "edge-list")
 
 
 @pytest.fixture(scope="session")

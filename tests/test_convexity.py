@@ -1,5 +1,7 @@
 import gc
 import random
+import sys
+import threading
 import weakref
 from itertools import combinations
 
@@ -211,9 +213,8 @@ def _all_pairs_extreme(g):
     k = interval_kernel(g)
     hit = _mask_of(v for v in range(g.n) if not is_simplicial(g, v))
     for x in range(g.n):
-        sx = k.side(x)
         for y in _members(k.full & ~k.adj[x] & -(2 << x)):
-            hit |= sx[y] & k.side(y)[x]
+            hit |= k.side(x, y) & k.side(y, x)
     return frozenset(_members(k.full & ~hit))
 
 
@@ -221,6 +222,94 @@ def test_extreme_vertices_match_all_pairs_pass(corpus):
     graphs = corpus + list(family_graphs((20, 60)))
     for g in graphs:
         assert extreme_vertices(g) == _all_pairs_extreme(g)
+
+
+def _side_reference(g, u):
+    """For each v outside N[u], the component of G - N[u] holding v joined
+    with the neighbours of u adjacent to it, as a mask; 0 for v in N[u].  A
+    set BFS over ``g.adj`` that shares nothing with the kernel's flood."""
+    side = [0] * g.n
+    for comp in components(g, g.adj[u] | {u}):
+        reentry = _mask_of(comp | {w for w in g.adj[u] if g.adj[w] & comp})
+        for v in comp:
+            side[v] = reentry
+    return side
+
+
+def test_sides_match_set_bfs_in_any_order(corpus_8):
+    # a fresh kernel per graph, asked in a shuffled order, so that each
+    # component is flooded from whichever member comes first
+    rng = random.Random(0)
+    for g in corpus_8 + list(family_graphs((60,))):
+        want = [_side_reference(g, u) for u in range(g.n)]
+        k = IntervalKernel(g)
+        pairs = [(u, v) for u in range(g.n) for v in range(g.n)]
+        rng.shuffle(pairs)
+        for u, v in pairs:
+            assert k.side(u, v) == want[u][v], (u, v)
+
+
+def test_sides_read_by_racing_threads():
+    # rows are created and filled without a lock, so readers racing on one
+    # fresh kernel may flood a component twice but must read true sides
+    graphs = list(family_graphs((60,)))[::5]
+    wants = [[_side_reference(g, u) for u in range(g.n)] for g in graphs]
+    kernels = [IntervalKernel(g) for g in graphs]
+    wrong = []
+
+    def read(seed):
+        rng = random.Random(seed)
+        for g, k, want in zip(graphs, kernels, wants):
+            pairs = [(u, v) for u in range(g.n) for v in range(g.n)]
+            rng.shuffle(pairs)
+            wrong.extend((u, v) for u, v in pairs if k.side(u, v) != want[u][v])
+
+    threads = [threading.Thread(target=read, args=(seed,)) for seed in range(4)]
+    before = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(before)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong
+
+
+def _members_reference(m):
+    return [v for v in range(m.bit_length()) if m >> v & 1]
+
+
+@pytest.mark.parametrize("widths", [range(0, 301), [1200]])
+def test_members_on_both_sides_of_the_cutoff(widths):
+    # graph._members peels masks of at most 10 + width // 16 members and
+    # reads denser ones off their binary digits
+    rng = random.Random(0)
+    for width in widths:
+        cut = 10 + (width >> 4)
+        for count in {0, 1, cut - 1, cut, cut + 1, width}:
+            # the one mask of no members is the one of width 0
+            if count > width or (width and not count):
+                continue
+            # the top bit is set, so the mask is exactly width bits wide
+            picks = rng.sample(range(width - 1), count - 1) + [width - 1] if count else []
+            m = _mask_of(picks)
+            assert m.bit_length() == width and m.bit_count() == count
+            assert _members(m) == _members_reference(m)
+
+
+@given(connected_graphs(max_n=12), st.data())
+@settings(max_examples=60)
+def test_union_border_lies_in_the_parts_borders(g, data):
+    k = interval_kernel(g)
+    parts = data.draw(st.lists(st.integers(1, k.full), min_size=1, max_size=4))
+    union = borders = 0
+    for p in parts:
+        union |= p
+        borders |= k.border(p)
+    assert k.border(union, borders) == k.border(union)
 
 
 def test_interval_kernel_dies_with_its_graph():
@@ -315,10 +404,10 @@ def _least_pair(k, block, v0):
     v0."""
     outside = k.full & ~block
     for u in _members(outside):
-        later = k.side(u)[v0] & outside & ~k.adj[u] & -(2 << u)
+        later = k.side(u, v0) & outside & ~k.adj[u] & -(2 << u)
         while later:
             low = later & -later
-            if k.side(low.bit_length() - 1)[v0] >> u & 1:
+            if k.side(low.bit_length() - 1, v0) >> u & 1:
                 return 1 << u | low
             later ^= low
     return 0

@@ -1,9 +1,8 @@
-import importlib.util
 import re
 import subprocess
 import sys
 
-from conftest import CORPUS_PATH, ROOT
+from conftest import CORPUS_PATH, ROOT, load_module
 
 SWEEP = ROOT / "scripts" / "oracle_sweep.py"
 TIMING = ROOT / "scripts" / "timing_scaling.py"
@@ -103,9 +102,7 @@ def test_timing_scaling_gnp_smoke():
 
 
 def test_oracle_sweep_counts_failed_checks(monkeypatch, tmp_path, capsys):
-    spec = importlib.util.spec_from_file_location("oracle_sweep", SWEEP)
-    oracle_sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(oracle_sweep)
+    oracle_sweep = load_module(SWEEP)
     real = oracle_sweep.check
 
     def failing(g, r):

@@ -3,10 +3,11 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 
-from conftest import connected_graphs, random_trees, vid, vids
+from conftest import connected_graphs, random_trees, shape_graph, vid, vids
 from tollhull import solver
 from tollhull.check import compare_with_bruteforce
 from tollhull.convexity import (
+    IntervalKernel,
     extreme_vertices,
     interval_kernel,
     is_t_concave,
@@ -281,7 +282,7 @@ def test_family_invariants_reject_overlapping_interiors():
     new = solver._member(g, 0b111, 1)
     other = solver._member(g, 0b11, 0)
     with pytest.raises(SolverInvariantError, match="interiors overlap"):
-        solver._check_family_invariants(g, new, [other])
+        solver._check_family_invariants(g, new, [other], set())
 
 
 def test_family_invariants_reject_non_clique_overlap():
@@ -289,7 +290,7 @@ def test_family_invariants_reject_non_clique_overlap():
     new = solver._member(g, 0b1111, 1)
     other = solver._member(g, 0b111001, 0)
     with pytest.raises(SolverInvariantError, match="not a clique"):
-        solver._check_family_invariants(g, new, [other])
+        solver._check_family_invariants(g, new, [other], set())
 
 
 def test_merged_member_of_type_3_is_an_invariant_violation(monkeypatch):
@@ -402,3 +403,21 @@ def test_empty_interior_is_an_invariant_violation():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(SolverInvariantError, match="empty interior"):
         solver._classify(g, solver._member(g, 0b110, 0))
+
+
+def test_spider_floods_stay_linear(monkeypatch):
+    # a kernel floods a component of G - N[u] only when one of its vertices
+    # is read, and the spider's reads touch few components per vertex;
+    # flooding every component of each side read would take about 100 n
+    g = shape_graph("spider", 400)
+    flood = IntervalKernel.flood
+    calls = 0
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return flood(self, *args)
+
+    monkeypatch.setattr(IntervalKernel, "flood", counted)
+    solve(g)
+    assert calls <= 10 * g.n
