@@ -23,9 +23,9 @@ selection rule fired in the solver's trace, by phase (``initial`` or
 ``merge``), the member's type, for a merge k (how many absorbed members
 were already t-concave), and rule label.
 
-On one core (Python 3.11) the corpus mode takes about 2 s on
-``tests/data/connected_le7.g6`` and about 28 s on
-``tests/data/connected_8.g6``, and ``--random 10000`` about 17 s.
+On one core of a shared 2-core VM (Python 3.11) the corpus mode takes
+about 1.5 s on ``tests/data/connected_le7.g6`` and 17-24 s on
+``tests/data/connected_8.g6``, and ``--random 10000`` 9-12 s.
 
 Exits non-zero on any discrepancy, and with a usage error on a corpus
 that cannot be read (missing, a directory, bytes that do not decode),

@@ -28,6 +28,13 @@ from __future__ import annotations
 from .graph import Graph, GraphError, _members
 
 
+# the all -1 row that every vertex of every kernel reads until its first
+# side is flooded, replaced by a longer one for a larger graph.  It is a
+# tuple and a flooded row a list, so a kernel tells them apart by type,
+# also in a copy pickled to another process, and can never write it.
+_UNREAD: tuple[int, ...] = ()
+
+
 class IntervalKernel:
     """Toll intervals of one graph on int masks (bit v stands for vertex v).
 
@@ -42,19 +49,21 @@ class IntervalKernel:
 
     Each component is flooded the first time one of its vertices is asked
     for and then stored for all its members, in one list of n entries per
-    vertex u asked about (-1 for a vertex not read yet).  Stored entries
-    never change, so a racing reader at worst floods the same component
-    twice.
+    vertex u asked about (-1 for a vertex not read yet).  Until then u
+    reads the shared ``_UNREAD``.  Stored entries never change, so a racing
+    reader at worst floods the same component twice.
     """
 
-    __slots__ = ("adj", "full", "_sides", "_unread")
+    __slots__ = ("adj", "full", "_sides")
 
     def __init__(self, g: Graph):
+        global _UNREAD
         self.adj = g.masks
         self.full = (1 << g.n) - 1
-        # every vertex shares this row until its first side is flooded
-        self._unread = [-1] * g.n
-        self._sides = [self._unread] * g.n
+        unread = _UNREAD
+        if len(unread) < g.n:
+            unread = _UNREAD = (-1,) * g.n
+        self._sides = [unread] * g.n
 
     def side(self, u: int, v: int) -> int:
         got = self._sides[u][v]
@@ -64,8 +73,8 @@ class IntervalKernel:
 
     def _flood_side(self, u: int, v: int) -> int:
         row = self._sides[u]
-        if row is self._unread:
-            row = self._sides[u] = [-1] * len(row)
+        if type(row) is tuple:
+            row = self._sides[u] = [-1] * len(self.adj)
         cut = self.adj[u] | 1 << u
         if cut >> v & 1:
             row[v] = 0

@@ -1,13 +1,13 @@
 """Brute-force reference implementations.
 
 Everything here recomputes toll-convexity quantities from first principles:
-intervals by exhaustive search over the bounded walk space, hull numbers by
-subset enumeration, atoms by testing vertex subsets, largest first, against
-every clique.  All oracles on a graph read the one interval table that
-``bf_all_intervals`` keeps for the graph asked about last.  The
-implementations deliberately share no machinery with the production
-operators they certify: they read the graph's adjacency (``Graph.adj`` or
-``Graph.masks``) and nothing built on it.
+intervals by reachability over the steps a tolled walk may take, hull
+numbers by subset enumeration, atoms by testing vertex subsets, largest
+first, against every clique.  All oracles on a graph read the one
+interval table that ``bf_all_intervals`` keeps for the graph asked about
+last.  The implementations deliberately share no machinery with the
+production operators they certify: they read the graph's adjacency
+(``Graph.adj`` or ``Graph.masks``) and nothing built on it.
 
 All entry points carry hard size guards and raise instead of sampling.
 """
@@ -68,77 +68,55 @@ class WalkWitness:
     v: int
 
 
-def _walk_states(g: Graph, x: int, y: int, max_edges: int):
-    """Forward/backward reachable (vertex, position) states of the walk space.
+def _tolled_steps(g: Graph, x: int, y: int) -> dict[int, int | None]:
+    """Parent links of a search from x along the steps of tolled
+    (x,y)-walks.
 
-    Positions are 1-based; transitions encode the tolled conditions the
-    moment they become decidable on a prefix: position 2 must neighbor x,
-    later positions must avoid N(x), and any vertex adjacent to y may only
-    step to y itself.
+    y stops; a neighbour of y steps only to y; x steps into N(x); any
+    other vertex steps to a neighbour outside N[x].  Each rule checks one
+    condition of the definition wherever the step falls in the walk, so
+    the tolled (x,y)-walks are exactly the x-y walks along these steps (x
+    never recurs, as its successor would be a neighbour of x past place
+    2).  Reversed, they are the steps of the (y,x)-walks.
     """
-    n, adj = g.n, g.adj
-    npos = max_edges + 1  # number of vertex slots
-    nx = adj[x]
-    ny = adj[y]
-
-    forward: list[set[int]] = [set() for _ in range(npos + 1)]
-    forward[1].add(x)
-    # x adjacent to y forces the two-vertex walk x,y and nothing else
-    forward[2] = {y} if x in ny else set(nx)
-    for i in range(2, npos):
-        layer = forward[i]
-        nxt = forward[i + 1]
-        for w in layer:
-            if w == y:
-                continue
-            if w in ny:
-                if y in adj[w]:
-                    nxt.add(y)
-                continue
-            for z in adj[w]:
-                if z in nx:
-                    continue
-                nxt.add(z)
-
-    # backward[i][w] = fewest steps from (w, i) to y along valid suffixes
-    backward: list[dict[int, int]] = [dict() for _ in range(npos + 2)]
-    for i in range(2, npos + 1):
-        backward[i][y] = 0
-    for i in range(npos - 1, 0, -1):
-        nxt = backward[i + 1]
-        here = backward[i]
-        for w in range(n):
-            if w == y:
-                continue
-            if w in ny:
-                if y in nxt and y in adj[w]:
-                    here[w] = 1
-                continue
-            best = None
-            for z in adj[w]:
-                if z in nx and i + 1 >= 3:
-                    continue
-                d = nxt.get(z)
-                if d is not None and (best is None or d + 1 < best):
-                    best = d + 1
-            if best is not None:
-                here[w] = best
-    return forward, backward
+    adj = g.adj
+    closed_x = adj[x] | {x}
+    parent: dict[int, int | None] = {x: None}
+    queue = [x]
+    for w in queue:
+        if w == y:
+            continue
+        if w in adj[y]:
+            steps = (y,)
+        elif w == x:
+            steps = adj[x]
+        else:
+            steps = adj[w] - closed_x
+        for z in sorted(steps):
+            if z not in parent:
+                parent[z] = w
+                queue.append(z)
+    return parent
 
 
-def bf_toll_interval(
-    g: Graph,
-    x: int,
-    y: int,
-    max_edges: int | None = None,
-    want_witnesses: bool = False,
-):
-    """Toll interval [x,y] by exhaustive bounded walk-space search.
+def _path(parent: dict[int, int | None], v: int) -> tuple[int, ...]:
+    """v, then its parent links back to the search's start."""
+    out = []
+    while v is not None:
+        out.append(v)
+        v = parent[v]
+    return tuple(out)
 
-    Walks of up to 2n+3 edges are explored; that bound is enough because a
-    witnessing walk normalizes to x · a · P1 · v · P2 · b · y with P1 and P2
-    simple paths.  With ``want_witnesses`` a dict of WalkWitness per interior
-    member is returned alongside the set.
+
+def bf_toll_interval(g: Graph, x: int, y: int, want_witnesses: bool = False):
+    """Toll interval [x,y] by reachability over tolled steps.
+
+    [x,y] holds the vertices reached both by ``_tolled_steps(g, x, y)``
+    and by ``_tolled_steps(g, y, x)``, which walks the same steps
+    backwards: a tolled walk joins each of them to both ends.  Adjacent
+    ends give {x, y}.  With ``want_witnesses`` a dict of WalkWitness per
+    member is returned alongside the set, each walk read off the two
+    searches' parent links.
     """
     _guard(g, MAX_INTERVAL_N, "bf_toll_interval")
     if x == y:
@@ -146,60 +124,16 @@ def bf_toll_interval(
     g._check_vertex(x, y)
     if not _is_connected(g):
         raise GraphError("toll interval requires a connected graph")
-    cap = (2 * g.n + 3) if max_edges is None else max_edges
-    forward, backward = _walk_states(g, x, y, cap)
-    npos = cap + 1
-    members = set()
-    first_pos: dict[int, int] = {}
-    for i in range(1, npos + 1):
-        for w in forward[i]:
-            if w in backward[i] and w not in members:
-                members.add(w)
-                first_pos[w] = i
+    forward, backward = _tolled_steps(g, x, y), _tolled_steps(g, y, x)
+    members = frozenset(forward.keys() & backward.keys())
     if not want_witnesses:
-        return frozenset(members)
-    witnesses = {v: _reconstruct(g, x, y, v, first_pos[v], forward, backward, cap)
-                 for v in sorted(members)}
-    return frozenset(members), witnesses
-
-
-def _reconstruct(g, x, y, v, pos, forward, backward, cap):
-    adj = g.adj
-    nx, ny = adj[x], adj[y]
-
-    def step_ok(w, z, i):
-        # one walk step from position i to i+1; a walk never leaves y
-        if w == y or z not in adj[w]:
-            return False
-        if w in ny and z != y:
-            return False
-        if i + 1 >= 3 and z in nx:
-            return False
-        return True
-
-    prefix = [v]
-    i = pos
-    while i > 1:
-        w = prefix[-1]
-        prev = next(p for p in sorted(forward[i - 1]) if step_ok(p, w, i - 1))
-        prefix.append(prev)
-        i -= 1
-    prefix.reverse()
-    suffix = [v]
-    i = pos
-    while suffix[-1] != y:
-        w = suffix[-1]
-        candidates = [
-            z for z in adj[w]
-            if step_ok(w, z, i) and z in backward[i + 1]
-        ]
-        # shortest remaining suffix, smallest vertex as tie-break
-        nxt = min(candidates, key=lambda z: (backward[i + 1][z], z))
-        suffix.append(nxt)
-        i += 1
-    walk = tuple(prefix + suffix[1:])
-    assert is_tolled_walk(g, walk, x, y) and v in walk
-    return WalkWitness(walk=walk, x=x, y=y, v=v)
+        return members
+    witnesses = {}
+    for v in sorted(members):
+        walk = _path(forward, v)[::-1] + _path(backward, v)[1:]
+        assert is_tolled_walk(g, walk, x, y) and v in walk
+        witnesses[v] = WalkWitness(walk=walk, x=x, y=y, v=v)
+    return members, witnesses
 
 
 # (weakref to the graph asked about last, its interval table); weak, so that

@@ -436,8 +436,17 @@ def _solve_reducible(g: Graph, dec: AtomDecomposition) -> HullResult:
     # by sorted vertices.  The members holding a popped target's border are
     # its merge's parts: the target and at least one partner.  A target
     # with no partner waits, as only a merged member covering its border
-    # can give it one.  No graph tried so far has re-queued a waiting
-    # target, but nothing proves that none can.
+    # can give it one.  What is proven of the waits:
+    # - an extremal atom never waits: each vertex of its border has a
+    #   neighbour outside it, and that edge lies in another atom, so the
+    #   border lies in the atom that swallows the shared part, and a live
+    #   member holds that atom;
+    # - a waiting target with a non-clique border is never re-queued: a
+    #   member holding that border would overlap the target in a
+    #   non-clique, and _check_family_invariants rejects that.
+    # Open: a target t with a clique border and G - t in two or more
+    # components.  The tier-1 tests check on every graph up to 7 vertices
+    # that only merged members wait and that none is re-queued.
     queue = [(m.key, m.seq, m) for m in index.members if m.extremal and not m.concave]
     heapify(queue)
     waiting: list[_Member] = []

@@ -1,4 +1,5 @@
 import gc
+import pickle
 import random
 import sys
 import threading
@@ -247,6 +248,23 @@ def test_sides_match_set_bfs_in_any_order(corpus_8):
         rng.shuffle(pairs)
         for u, v in pairs:
             assert k.side(u, v) == want[u][v], (u, v)
+
+
+def test_unread_rows_are_shared_and_survive_pickling(corpus_8):
+    # unread vertices read one all -1 tuple, replaced by a longer one for a
+    # larger graph; a pickled kernel (verify --jobs sends each graph with
+    # its kernel) carries a copy of it, which must still read as unread
+    # rather than be filled as a row of its own
+    graphs = corpus_8[:3] + list(family_graphs((60,)))[:1] + corpus_8[3:6]
+    kernels = [IntervalKernel(g) for g in graphs]
+    assert len({id(row) for k in kernels[3:] for row in k._sides}) == 1
+    for g, k in zip(graphs, kernels):
+        k.side(g.n - 1, 0)
+    copies = pickle.loads(pickle.dumps(kernels))
+    for g, k, copy in zip(graphs, kernels, copies):
+        want = [_side_reference(g, u) for u in range(g.n)]
+        for kern in (k, copy):
+            assert [[kern.side(u, v) for v in range(g.n)] for u in range(g.n)] == want
 
 
 def test_sides_read_by_racing_threads():

@@ -67,14 +67,18 @@ def test_interval_rejects_bad_input():
         bf_toll_interval(big, 0, 12)
 
 
-def test_cap_doubling_is_stable(small_corpus):
-    from itertools import combinations
+def test_interval_is_symmetric_agrees_with_kernel_and_is_witnessed(corpus):
+    from itertools import permutations
 
-    for g in small_corpus[::7]:
-        for x, y in combinations(range(g.n), 2):
-            base = bf_toll_interval(g, x, y)
-            doubled = bf_toll_interval(g, x, y, max_edges=2 * (2 * g.n + 3))
-            assert base == doubled
+    from tollhull.convexity import toll_interval
+
+    for g in corpus:
+        for x, y in permutations(range(g.n), 2):
+            interval, witnesses = bf_toll_interval(g, x, y, want_witnesses=True)
+            assert interval == bf_toll_interval(g, y, x) == toll_interval(g, x, y)
+            assert set(witnesses) == set(interval)
+            for v, wit in witnesses.items():
+                assert is_tolled_walk(g, wit.walk, x, y) and v in wit.walk
 
 
 def test_hull_numbers_on_fixtures():
@@ -243,7 +247,7 @@ def test_guards():
 
 @given(connected_graphs(max_n=6))
 @settings(max_examples=40)
-# for x=3, y=4 the prefix rebuild once stepped out of y: walk 3,1,4,0,4
+# for x=3, y=4 a witness once stepped out of y: walk 3,1,4,0,4
 @example(Graph(6, [(0, 1), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 5)]))
 def test_witnesses_always_validate(g):
     from itertools import combinations

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from conftest import connected_graphs, random_trees, shape_graph, vid, vids
 from tollhull import solver
+from tollhull.atoms import atoms
 from tollhull.check import compare_with_bruteforce
 from tollhull.convexity import (
     IntervalKernel,
@@ -304,6 +305,35 @@ def test_merged_member_of_type_3_is_an_invariant_violation(monkeypatch):
     monkeypatch.setattr(solver, "classify_type", merged_as_type3)
     with pytest.raises(SolverInvariantError, match="type 3"):
         solve(theta7())
+
+
+def test_only_merged_members_wait_and_none_is_requeued(corpus, monkeypatch):
+    # a target popped with no partner gets only itself from containing();
+    # an extremal atom always has a partner, so every waiting target is a
+    # merged member, and a re-queued one would be popped a second time
+    popped, waiting = [], []
+    pop, containing = solver.heappop, solver._Index.containing
+
+    def counted_pop(queue):
+        item = pop(queue)
+        popped.append(item[2])
+        return item
+
+    def counted_containing(index, mask):
+        parts = containing(index, mask)
+        if len(parts) < 2:
+            waiting.append(parts[0])
+        return parts
+
+    monkeypatch.setattr(solver, "heappop", counted_pop)
+    monkeypatch.setattr(solver._Index, "containing", counted_containing)
+    for g in corpus:
+        before = len(waiting)
+        solve(g)
+        atom_keys = {tuple(sorted(a)) for a in atoms(g).atoms}
+        assert not any(t.key in atom_keys for t in waiting[before:]), sorted(g.edges())
+    assert waiting
+    assert len(set(popped)) == len(popped)
 
 
 def test_rule_census_on_corpus(corpus):
